@@ -435,7 +435,9 @@ fn main() {
     // Gate decisions are pure functions of predicted footprints and
     // the calendar, so dispatch order, queue waits, every latency,
     // the event log, and the rendered JSON must be identical run to
-    // run.
+    // run. `sched.aware.t2` reruns the aware spec at two threads: gated
+    // runs are clamped to one partition, so its lines must match
+    // `sched.aware`'s byte for byte (check.sh diffs them).
     let cluster = ClusterConfig::era_2002(4, 4, 2.0);
     let sdsm = DsmConfig::new(2, 256, 4, 64);
     let arrivals = lmas_sched::ArrivalSpec::poisson(
@@ -445,7 +447,12 @@ fn main() {
         SimDuration::from_millis(40),
         &[1],
     );
-    for (tag, aware) in [("sched.naive", false), ("sched.aware", true)] {
+    for (tag, aware, threads) in [
+        ("sched.naive", false, 1),
+        ("sched.aware", true, 1),
+        ("sched.aware.t2", true, 2),
+    ] {
+        let cluster = cluster.with_threads(threads);
         let spec = lmas_sched::SchedSpec::new(arrivals.clone(), vec![2_000])
             .with_policy(lmas_sched::Policy::WeightedFair)
             .with_quota(2)

@@ -70,14 +70,14 @@ pub struct ClusterConfig {
     /// which keeps runs byte-identical to the balancer-free runtime.
     pub balance: BalanceSpec,
     /// Worker threads for the emulation itself. `1` (the default) runs
-    /// the classic sequential engine. Larger values partition the actor
-    /// graph across threads under conservative lookahead synchronization
-    /// (see `lmas_sim::par`); virtual time stays byte-identical, wall
-    /// clock shrinks. Fault plans and the (snapshot-mode) balancer run
-    /// partitioned too; the few shapes the partitioned engine cannot
-    /// preserve exactly (backlog-sensitive routing, zero cross-node
-    /// delay, `fail_fast` fault specs, the live-read balancer compat
-    /// mode) fall back to the sequential path, recording the reason in
+    /// one partition on the sequential calendar. Larger values partition
+    /// the actor graph across `min(threads, hosts)` threads under
+    /// conservative lookahead synchronization (see `lmas_sim::par`);
+    /// virtual time stays byte-identical. Fault plans and the balancer
+    /// run partitioned too; the few shapes more than one partition
+    /// cannot preserve exactly (scheduler-gated runs, backlog-sensitive
+    /// routing, zero cross-node delay, `fail_fast` fault specs) run on
+    /// one partition, recording the reason in
     /// `EmulationReport::par_fallback`.
     pub threads: usize,
 }

@@ -389,8 +389,12 @@ impl<R: Record> Metrics<R> {
     /// traces interleave by dispatch key ([`Trace::merge`]); violation
     /// notes re-sort by dispatch key and re-truncate, which is exact
     /// because the globally-first `MAX_VIOLATION_NOTES` notes are
-    /// contained in the union of the per-partition prefixes.
-    pub fn merge(parts: Vec<Metrics<R>>) -> Metrics<R> {
+    /// contained in the union of the per-partition prefixes. A single
+    /// partition is already in sequential order and is returned as is.
+    pub fn merge(mut parts: Vec<Metrics<R>>) -> Metrics<R> {
+        if parts.len() == 1 {
+            return parts.pop().expect("one partition");
+        }
         let mut it = parts.into_iter();
         let mut m = it.next().expect("merge needs at least one partition");
         let mut traces = vec![std::mem::replace(&mut m.trace, Trace::disabled())];

@@ -18,9 +18,8 @@
 //! defines the mechanism: merge, gate, dispatch, completion detection,
 //! and per-job accounting.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use lmas_core::{Packet, Record, StageId};
 use lmas_sim::{SimDuration, SimTime};
@@ -55,7 +54,10 @@ pub enum GateDecision {
 /// Determinism: gates must be pure functions of the call sequence —
 /// same decisions for the same arrivals/completions in the same order.
 /// All policies in `lmas-sched` (FCFS, SPJF, weighted-fair) are.
-pub trait SchedGate {
+///
+/// `Send` because the gate travels into the emulator's partition worker
+/// (it still runs on one partition: gated runs never split).
+pub trait SchedGate: Send {
     /// Job `job` arrived at `now`; admit, queue, or reject it.
     fn on_arrival(&mut self, job: usize, now: SimTime) -> GateDecision;
     /// Job `job` completed at `now`; return the queued jobs to dispatch
@@ -149,20 +151,23 @@ pub struct MultiJobReport<R: Record> {
 ///
 /// The jobs' graphs are merged into a single [`FlowGraph`] (stage
 /// indices offset per job, so each job's range is contiguous) and run
-/// fault-free on the sequential engine. Job `j` of the gate/report is
-/// `jobs[j]`. See the module docs for the scheduling semantics.
+/// fault-free on one partition (`threads > 1` records the `"scheduler"`
+/// fallback reason). Job `j` of the gate/report is `jobs[j]`. See the
+/// module docs for the scheduling semantics.
 ///
 /// # Errors
 ///
-/// Graph/placement validation errors surface exactly as for a single
-/// job. A job with an empty graph is rejected up front (it could never
-/// complete).
+/// [`JobError::NoJobs`] for an empty submission. Graph/placement
+/// validation errors surface exactly as for a single job. A job with an
+/// empty graph is rejected up front (it could never complete).
 pub fn run_jobs<R: Record>(
     cfg: &ClusterConfig,
     jobs: Vec<TenantJob<R>>,
     gate: Box<dyn SchedGate>,
 ) -> Result<MultiJobReport<R>, JobError> {
-    assert!(!jobs.is_empty(), "run_jobs needs at least one job");
+    if jobs.is_empty() {
+        return Err(JobError::NoJobs);
+    }
     let mut graph = lmas_core::FlowGraph::new();
     let mut placement = lmas_core::Placement::new();
     let mut inputs: BTreeMap<(usize, usize), Vec<Packet<R>>> = BTreeMap::new();
@@ -242,7 +247,7 @@ pub fn run_jobs<R: Record>(
         tenants.push(tenant);
     }
 
-    let log: Rc<RefCell<Vec<SchedEvent>>> = Rc::new(RefCell::new(Vec::new()));
+    let log: Arc<Mutex<Vec<SchedEvent>>> = Arc::default();
     let setup = SchedSetup {
         arrivals: arrivals.clone(),
         stage_job,
@@ -260,11 +265,7 @@ pub fn run_jobs<R: Record>(
         },
         setup,
     )?;
-    // The scheduler actor dropped with the simulation, so the log is
-    // uniquely owned again.
-    let events = Rc::try_unwrap(log)
-        .map(|c| c.into_inner())
-        .unwrap_or_else(|rc| rc.borrow().clone());
+    let events = std::mem::take(&mut *log.lock().expect("scheduler log poisoned"));
 
     let mut out: Vec<JobStats> = ranges
         .iter()
@@ -417,6 +418,12 @@ mod tests {
         assert_eq!(multi.jobs[0].dispatched_at, Some(SimTime::ZERO));
         assert!(multi.jobs[0].completed_at.is_some());
         assert!(multi.jobs[0].usage.disk_read_bytes > 0);
+    }
+
+    #[test]
+    fn empty_submission_is_a_typed_error() {
+        let r = run_jobs::<Rec8>(&cfg(), Vec::new(), Box::new(AdmitAll));
+        assert!(matches!(r, Err(JobError::NoJobs)));
     }
 
     #[test]

@@ -36,8 +36,12 @@
 //! reports and weight updates) travels with at least the minimum
 //! cross-node delay, faulted and balanced runs partition cleanly: the
 //! parallel engine replays them byte-identically (see
-//! [`EmulationReport::par_fallback`] for the few shapes that still
-//! route sequentially).
+//! [`EmulationReport::par_fallback`] for the few shapes clamped to one
+//! partition).
+//!
+//! Every job, whatever its shape or thread count, is built by one
+//! partition worker per partition (`EmWorker`); a one-partition run
+//! executes that single build inline on the sequential calendar.
 
 use crate::balance;
 use crate::config::ClusterConfig;
@@ -56,13 +60,13 @@ use lmas_core::{
 };
 use lmas_sim::{
     run_partitioned, ActorId, BackoffPolicy, Ctx, DetRng, FaultEvent, LogHist, ParOps,
-    PartitionWorker, RunOutcome, SimDuration, SimTime, Simulation, Trace,
+    PartitionWorker, SimDuration, SimTime, Simulation, Trace,
 };
 use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A complete job: what to run, where, and on which data.
 pub struct Job<R: Record> {
@@ -108,6 +112,12 @@ pub enum JobError {
     /// The repair spec does not fit the cluster (see
     /// [`RepairSpec::validate`](crate::repair::RepairSpec::validate)).
     RepairConfig(&'static str),
+    /// An active fault spec has a zero
+    /// [`FaultSpec::heartbeat_period`]: the failure detector would never
+    /// tick.
+    ZeroHeartbeatPeriod,
+    /// [`run_jobs`](crate::multi::run_jobs) was given no jobs.
+    NoJobs,
     /// Every replica of a stage was unreachable and the retry budget was
     /// exhausted with [`FaultSpec::fail_fast`] set. Partial progress is
     /// reported so callers can decide how much work was lost.
@@ -145,6 +155,10 @@ impl fmt::Display for JobError {
                 )
             }
             JobError::RepairConfig(why) => write!(f, "repair spec invalid: {why}"),
+            JobError::ZeroHeartbeatPeriod => {
+                write!(f, "fault spec heartbeat period must be positive")
+            }
+            JobError::NoJobs => write!(f, "run_jobs needs at least one job"),
             JobError::AllReplicasDown {
                 stage,
                 at,
@@ -263,19 +277,20 @@ pub struct EmulationReport<R: Record> {
     /// Repair bytes *sourced* per ASU ordinal — the quantity the
     /// per-node repair-bandwidth cap paces (empty when repair is off).
     pub repair_src_bytes: Vec<u64>,
-    /// Parallel-execution counters, present only when the partitioned
-    /// engine ran the job ([`ClusterConfig::threads`] > 1 and the run was
-    /// eligible). Everything *else* in the report is byte-identical
-    /// either way; this field is the only trace the parallel kernel
-    /// leaves.
+    /// Parallel-execution counters, present only when the job ran on
+    /// two or more partitions ([`ClusterConfig::threads`] > 1, more than
+    /// one host, and the run was eligible). Everything *else* in the
+    /// report is byte-identical either way; this field is the only trace
+    /// the parallel kernel leaves.
     pub par: Option<ParRunStats>,
-    /// Why a `threads > 1` run routed to the sequential engine anyway,
-    /// or `None` when it ran partitioned (or never asked to). The
-    /// reasons: `"backlog routing"` (a backlog-sensitive policy reads
-    /// live cross-partition queue depths), `"zero latency"` (no minimum
-    /// cross-node delay, hence no lookahead), `"fault plan"` (a
-    /// `fail_fast` spec needs a global early stop), `"balancer"` (the
-    /// live-read compat sampler). Always `None` at `threads == 1`.
+    /// Why a `threads > 1` run was clamped to one partition anyway, or
+    /// `None` when it was eligible (or never asked for threads). The
+    /// reasons: `"scheduler"` (a gate holds source seeds back until it
+    /// dispatches them), `"backlog routing"` (a backlog-sensitive policy
+    /// reads live cross-partition queue depths), `"zero latency"` (no
+    /// minimum cross-node delay, hence no lookahead), `"fault plan"` (a
+    /// `fail_fast` spec needs a global early stop). Always `None` at
+    /// `threads == 1`.
     pub par_fallback: Option<&'static str>,
 }
 
@@ -421,8 +436,8 @@ enum Msg<R: Record> {
         /// One weight per replica.
         weights: Vec<f64>,
     },
-    /// Balancer: a snapshot batch landed; recompute weights.
-    BalanceTick,
+    /// Balancer self-message: a snapshot batch landed; recompute weights.
+    Rebalance,
     /// Repair coordinator: apply precomputed timeline entry `i` (a
     /// crash / recover / detect on a replica-holding ASU).
     RepairStep(usize),
@@ -518,10 +533,10 @@ struct InstFlags {
     fenced: bool,
 }
 
-/// The backlog gauge a sender/receiver mutates: a shared live gauge in
-/// sequential mode, or this partition's deferred journal in partitioned
-/// mode (merged into the exact sequential gauge after the run — see
-/// [`GaugeJournal::replay`]).
+/// The backlog gauge a sender/receiver mutates: the shared live gauge
+/// of a one-partition run, or this partition's deferred journal when
+/// there are several (merged into the exact live gauge after the run —
+/// see [`GaugeJournal::replay`]).
 #[derive(Clone)]
 enum GaugeHandle {
     Live(Rc<RefCell<StageGauge>>),
@@ -550,14 +565,47 @@ impl GaugeHandle {
         }
     }
 
-    /// Instantaneous per-instance depths. Journals return zeros: the
-    /// partitioned runtime only engages for backlog-insensitive routing,
-    /// so the values feed slice arithmetic, never a pick.
+    /// Instantaneous per-instance depths. Journals return zeros: only
+    /// backlog-insensitive routing runs on more than one partition, so
+    /// the values feed slice arithmetic, never a pick.
     fn depths(&self) -> Ref<'_, [u64]> {
         match self {
             GaugeHandle::Live(g) => Ref::map(g.borrow(), |g| g.depths()),
             GaugeHandle::Journal(j) => Ref::map(j.borrow(), |j| j.depths()),
         }
+    }
+
+    /// Unwrap the handle once the actors holding clones are gone.
+    fn into_share(self) -> GaugeShare {
+        match self {
+            GaugeHandle::Live(g) => GaugeShare::Live(
+                Rc::try_unwrap(g).map_or_else(|rc| rc.borrow().clone(), RefCell::into_inner),
+            ),
+            GaugeHandle::Journal(j) => GaugeShare::Journal(
+                Rc::try_unwrap(j).map_or_else(|rc| rc.borrow().clone(), RefCell::into_inner),
+            ),
+        }
+    }
+}
+
+/// One partition's record of a stage's backlog after the run.
+enum GaugeShare {
+    Live(StageGauge),
+    Journal(GaugeJournal),
+}
+
+impl GaugeShare {
+    /// The stage's exact gauge from every partition's share: the live
+    /// gauge as is at `P = 1`, the journals' replay at `P > 1`.
+    fn merge(shares: Vec<GaugeShare>) -> StageGauge {
+        let mut journals = Vec::with_capacity(shares.len());
+        for share in shares {
+            match share {
+                GaugeShare::Live(g) => return g,
+                GaugeShare::Journal(j) => journals.push(j),
+            }
+        }
+        GaugeJournal::replay(journals)
     }
 }
 
@@ -572,10 +620,11 @@ struct Downstream<R: Record> {
     capacities: Vec<f64>,
     router: Router,
     gauge: GaugeHandle,
-    /// Balancer-set routing weights for the destination stage; empty
-    /// until (unless) the balancer's first reweight, so an untouched
-    /// run draws identically to the weightless router path.
-    weights: Rc<RefCell<Vec<f64>>>,
+    /// This sender's routing weights for the destination stage, set by
+    /// the balancer's `WeightUpdate`s; empty until (unless) the first
+    /// reweight, so an untouched run draws identically to the weightless
+    /// router path.
+    weights: Vec<f64>,
     /// Instances per port group (= replication for global scope).
     group_size: usize,
     /// Destination stage id (for `AllReplicasDown` reporting).
@@ -790,7 +839,7 @@ impl<R: Record> InstanceActor<R> {
             // A multi-tenant sink reports its flush to the scheduler at
             // the flush instant (sink writes were charged above, so the
             // job's disk traffic is already accounted). Scheduler runs
-            // are sequential-only; a zero-delay control send is safe.
+            // are always one partition; a zero-delay control send is safe.
             if let Some((sched, job)) = self.sched {
                 ctx.send_now(sched, Msg::SinkFlushed(job));
             }
@@ -851,13 +900,12 @@ impl<R: Record> InstanceActor<R> {
                 None => UpMask::All,
             };
             let backlog = d.gauge.depths();
-            let weights = d.weights.borrow();
             // Empty until the balancer's first reweight: `pick_routed`
             // then takes the exact `pick_available` path (same draws).
-            let wslice: &[f64] = if weights.is_empty() {
+            let wslice: &[f64] = if d.weights.is_empty() {
                 &[]
             } else {
-                &weights[base..base + d.group_size]
+                &d.weights[base..base + d.group_size]
             };
             d.router.pick_routed(
                 d.group_size,
@@ -1241,8 +1289,9 @@ fn delivery_time(
     }
 }
 
-/// The dispatch ordering key of the current event — `(0, 0)` in
-/// sequential mode, where side effects are already totally ordered.
+/// The dispatch ordering key of the current event — `(0, 0)` on a
+/// one-partition run's sequential calendar, where side effects are
+/// already totally ordered.
 fn par_key<M>(ctx: &Ctx<'_, M>) -> (u64, u64) {
     ctx.par_key().unwrap_or((0, 0))
 }
@@ -1349,12 +1398,12 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for InstanceActor<R> {
             Msg::WeightUpdate { stage, weights } => {
                 if let Some(d) = &mut self.down {
                     debug_assert_eq!(d.dest_stage, stage, "weight update for the wrong stage");
-                    *d.weights.borrow_mut() = weights;
+                    d.weights = weights;
                 }
             }
             Msg::FaultStep(_)
             | Msg::Detect(_)
-            | Msg::BalanceTick
+            | Msg::Rebalance
             | Msg::DepthReport { .. }
             | Msg::JobArrive(_)
             | Msg::SinkFlushed(_)
@@ -1377,7 +1426,7 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for InstanceActor<R> {
 /// The fault controller: replays the plan's node-health steps and the
 /// detector timeline's precomputed verdicts. The parallel engine runs
 /// one controller per partition, each seeded only with the events whose
-/// node it owns; the sequential engine runs a single instance owning
+/// node it owns; a one-partition run has a single controller owning
 /// every node. Every send it makes is either node-local (`send_now` to
 /// instances resident on the event's node) or carries the control
 /// delay, so replay is byte-identical however the actors partition.
@@ -1402,7 +1451,7 @@ struct FaultController<R: Record> {
 impl<R: Record> FaultController<R> {
     /// The node a step names — always owned by this controller: plan
     /// events are bounds-checked against the cluster before the run
-    /// starts, the sequential controller owns every node, and a
+    /// starts, a one-partition run's controller owns every node, and a
     /// partition's controller is seeded only with steps for nodes it
     /// owns. A miss is a seeding bug, not a user-reachable state, so it
     /// degrades to skipping the step instead of aborting the run.
@@ -1518,81 +1567,6 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for FaultController<R> {
     }
 }
 
-/// One replicated stage the balancer watches: its backlog gauge, the
-/// shared weight vector its upstream routers consult, and the node each
-/// replica lives on (for CPU-backlog sampling).
-struct BalanceTarget {
-    stage: usize,
-    gauge: Rc<RefCell<StageGauge>>,
-    weights: Rc<RefCell<Vec<f64>>>,
-    node_idx: Vec<usize>,
-}
-
-/// The runtime load balancer (Section 8's feedback loop): a periodic
-/// actor that samples per-instance queue depth and per-node CPU backlog
-/// in virtual time and re-weights replica routing by inverse backlog
-/// (see [`crate::balance`]). It writes weights; the fault layer's
-/// detected-up mask stays an independent, composed filter.
-struct BalancerActor<R: Record> {
-    spec: balance::BalanceSpec,
-    targets: Vec<BalanceTarget>,
-    nodes: Vec<Rc<RefCell<NodeRes>>>,
-    metrics: Rc<RefCell<Metrics<R>>>,
-    /// `last_activity` observed at the previous tick; used to stop
-    /// ticking once the job quiesces so the simulation can drain.
-    last_seen: SimTime,
-}
-
-impl<R: Record> lmas_sim::Actor<Msg<R>> for BalancerActor<R> {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg<R>>, msg: Msg<R>) {
-        debug_assert!(matches!(msg, Msg::BalanceTick));
-        let now = ctx.now();
-        let mut queued = false;
-        for t in &self.targets {
-            let depths = t.gauge.borrow().depths().to_vec();
-            queued |= depths.iter().any(|&d| d > 0);
-            let cpu_backlog: Vec<u64> = t
-                .node_idx
-                .iter()
-                .map(|&ni| {
-                    let free = self.nodes[ni].borrow().cpu_free_at();
-                    free.as_nanos().saturating_sub(now.as_nanos())
-                })
-                .collect();
-            let new = balance::reweight(
-                &depths,
-                &cpu_backlog,
-                self.spec.deadband,
-                self.spec.cpu_deadband.as_nanos(),
-                self.spec.min_weight,
-            );
-            if let Some(w) = new {
-                if *t.weights.borrow() != w {
-                    let stage = t.stage;
-                    let mut m = self.metrics.borrow_mut();
-                    m.reweights += 1;
-                    m.trace.record_with(now, || {
-                        ("balance", format!("reweight stage {stage}: {w:?}"))
-                    });
-                    drop(m);
-                    *t.weights.borrow_mut() = w;
-                }
-            }
-        }
-        // Keep sampling while the job is visibly alive: queued records,
-        // committed CPU time, or progress since the previous tick. Once
-        // all three go quiet the balancer stops re-arming, so a drained
-        // job's event calendar actually empties.
-        let activity = self.metrics.borrow().last_activity;
-        let cpu_busy = self.nodes.iter().any(|n| n.borrow().cpu_free_at() > now);
-        let alive = queued || cpu_busy || activity > self.last_seen;
-        self.last_seen = activity;
-        if alive {
-            ctx.timer(self.spec.period, Msg::BalanceTick);
-        }
-    }
-}
-
 /// One stage the snapshot balancer re-weights: its replication (for
 /// zero-filling missing reports) and the upstream sender instances that
 /// receive `WeightUpdate`s.
@@ -1602,9 +1576,9 @@ struct SnapTarget {
     senders: Vec<ActorId>,
 }
 
-/// The snapshot-mode balancer (the default; see [`BalanceSpec::live`]
-/// for the sequential-only compat sampler). Purely reactive — it holds
-/// no timer and reads no shared state: watched instances self-sample on
+/// The runtime load balancer (Section 8's feedback loop; see
+/// [`crate::balance`]). Purely reactive — it holds no timer and reads no
+/// shared state: watched instances self-sample on
 /// the `k·period` grid and ship [`Msg::DepthReport`]s with a fixed
 /// delay; a batch of reports triggers one reweight from the snapshot
 /// they form, and changed weights travel to the senders as
@@ -1617,7 +1591,7 @@ struct SnapshotBalancer<R: Record> {
     targets: Vec<SnapTarget>,
     /// Latest report per `(stage, replica)`: `(depth, cpu_ns)`.
     snap: BTreeMap<(usize, usize), (u64, u64)>,
-    /// A `BalanceTick` is queued for the batch currently landing.
+    /// A `Rebalance` is queued for the batch currently landing.
     pending: bool,
     /// Minimum cross-node delay; weight updates travel with it.
     ctl: SimDuration,
@@ -1687,10 +1661,10 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for SnapshotBalancer<R> {
                     // (uniform shipping delay), so a 1 ns deferral runs
                     // after the last of them and before anything else.
                     self.pending = true;
-                    ctx.send(ctx.me(), SimDuration::from_nanos(1), Msg::BalanceTick);
+                    ctx.send(ctx.me(), SimDuration::from_nanos(1), Msg::Rebalance);
                 }
             }
-            Msg::BalanceTick => {
+            Msg::Rebalance => {
                 self.pending = false;
                 self.rebalance(ctx);
             }
@@ -2033,14 +2007,17 @@ struct SchedActor<R: Record> {
     done: Vec<bool>,
     /// Shared with the [`crate::multi::run_jobs`] caller, which reads
     /// the decisions back into per-job statistics after the run.
-    log: Rc<RefCell<Vec<SchedEvent>>>,
+    log: Arc<Mutex<Vec<SchedEvent>>>,
     metrics: Rc<RefCell<Metrics<R>>>,
 }
 
 impl<R: Record> SchedActor<R> {
     fn note(&mut self, ctx: &Ctx<'_, Msg<R>>, job: usize, kind: SchedEventKind) {
         let now = ctx.now();
-        self.log.borrow_mut().push(SchedEvent { at: now, job, kind });
+        self.log
+            .lock()
+            .expect("scheduler log poisoned")
+            .push(SchedEvent { at: now, job, kind });
         self.metrics
             .borrow_mut()
             .trace
@@ -2102,11 +2079,11 @@ pub fn run_job_with_faults<R: Record>(
     spec: &FaultSpec,
     job: Job<R>,
 ) -> Result<EmulationReport<R>, JobError> {
-    run_job_inner(cfg, spec, job, None)
+    run_partitioned_job(cfg, spec, job, None)
 }
 
-/// Everything the sequential runtime needs to run a merged multi-job
-/// graph under a scheduler (constructed by [`crate::multi::run_jobs`]).
+/// Everything the runtime needs to run a merged multi-job graph under a
+/// scheduler (constructed by [`crate::multi::run_jobs`]).
 pub(crate) struct SchedSetup {
     /// Arrival instant per job id (each seeds one [`Msg::JobArrive`]).
     pub arrivals: Vec<SimTime>,
@@ -2121,676 +2098,19 @@ pub(crate) struct SchedSetup {
     /// The pluggable admission/fairness gate.
     pub gate: Box<dyn SchedGate>,
     /// Shared event log the embedding reads back after the run.
-    pub log: Rc<RefCell<Vec<SchedEvent>>>,
+    pub log: Arc<Mutex<Vec<SchedEvent>>>,
 }
 
 /// Run a merged multi-job graph under a scheduler gate. Fault-free by
 /// construction (completion detection counts sink flushes, which the
-/// fault layer's fencing would starve) and sequential-only (`threads >
-/// 1` records the `"scheduler"` fallback reason).
+/// fault layer's fencing would starve) and always one partition
+/// (`threads > 1` records the `"scheduler"` fallback reason).
 pub(crate) fn run_job_sched<R: Record>(
     cfg: &ClusterConfig,
     job: Job<R>,
     setup: SchedSetup,
 ) -> Result<EmulationReport<R>, JobError> {
-    run_job_inner(cfg, &FaultSpec::none(), job, Some(setup))
-}
-
-fn run_job_inner<R: Record>(
-    cfg: &ClusterConfig,
-    spec: &FaultSpec,
-    job: Job<R>,
-    sched: Option<SchedSetup>,
-) -> Result<EmulationReport<R>, JobError> {
-    let Job {
-        graph,
-        placement,
-        mut inputs,
-    } = job;
-    graph.validate()?;
-    placement.validate(&graph.placement_rows(), cfg.asu_mem_bytes)?;
-    for (s, stage) in graph.stages().iter().enumerate() {
-        if !stage.is_source && graph.in_degree(StageId(s)) == 0 {
-            return Err(JobError::DisconnectedStage(StageId(s)));
-        }
-    }
-    for &(s, i) in inputs.keys() {
-        if !graph.stages()[s].is_source {
-            return Err(JobError::InputForNonSource {
-                stage: s,
-                instance: i,
-            });
-        }
-    }
-    let active = spec.is_active();
-    let total_nodes = cfg.total_nodes();
-    if active {
-        assert!(
-            spec.heartbeat_period.as_nanos() > 0,
-            "heartbeat period must be positive"
-        );
-        for ev in spec.plan.sorted_events() {
-            let bad = match ev {
-                FaultEvent::LinkLoss { from, to, .. } => from.max(to),
-                other => other.node(),
-            };
-            if bad >= total_nodes {
-                return Err(JobError::FaultPlanNode { node: bad });
-            }
-        }
-    }
-    // Background re-replication engages only with the fault layer on
-    // (without a plan there is nothing to repair), but a spec that does
-    // not fit the cluster is a typed error either way — on both engines,
-    // before anything runs.
-    if let Some(rs) = &spec.repair {
-        if let Err(why) = rs.validate(cfg.asus) {
-            return Err(JobError::RepairConfig(why));
-        }
-    }
-    let repair_on = active && spec.repair.is_some();
-
-    // The control delay: the minimum cross-node delay (link latency
-    // plus the NIC's per-frame overhead service), which is exactly the
-    // partitioned engine's lookahead. Every cross-node control message
-    // (NACK bounce, fence EOS, depth report, weight update) travels
-    // with at least this much, so the protocol partitions cleanly.
-    let ctl = SimDuration::from_nanos(
-        cfg.link_latency.as_nanos()
-            + nic_service(cfg.nic_frame_overhead_bytes, cfg.link_bytes_per_sec).as_nanos(),
-    );
-    let balance_on = cfg.balance.is_active();
-    // Hand eligible runs to the partitioned engine; the few shapes it
-    // cannot reproduce keep the (always byte-identical) sequential path
-    // and record why. Faulted and snapshot-balanced runs partition
-    // fine; the holdouts are backlog-sensitive routing (reads live
-    // cross-partition queue depths), a zero minimum cross-node delay
-    // (no lookahead), `fail_fast` specs (a global early stop), and the
-    // live-read balancer compat sampler.
-    let par_fallback: Option<&'static str> = if cfg.threads > 1 {
-        if sched.is_some() {
-            // Gated runs hold back source seeds until the scheduler
-            // dispatches them — cross-partition control flow the
-            // conservative engine has no lookahead for.
-            Some("scheduler")
-        } else if !parallel_eligible(&graph) {
-            Some("backlog routing")
-        } else if ctl.as_nanos() == 0 {
-            Some("zero latency")
-        } else if active && spec.fail_fast {
-            Some("fault plan")
-        } else if balance_on && cfg.balance.live {
-            Some("balancer")
-        } else {
-            None
-        }
-    } else {
-        None
-    };
-    if cfg.threads > 1 && par_fallback.is_none() {
-        return run_job_parallel(cfg, spec, graph, placement, inputs);
-    }
-
-    // Nodes: hosts 0..H, then ASUs.
-    let nodes: Vec<Rc<RefCell<NodeRes>>> = (0..cfg.hosts)
-        .map(NodeId::Host)
-        .chain((0..cfg.asus).map(NodeId::Asu))
-        .map(|id| Rc::new(RefCell::new(NodeRes::new(id, cfg))))
-        .collect();
-    let node_rc = |id: NodeId| -> Rc<RefCell<NodeRes>> { nodes[node_index(cfg, id)].clone() };
-
-    let mut sim: Simulation<Msg<R>> = Simulation::new(cfg.seed);
-    let actor_ids: Vec<Vec<ActorId>> = graph
-        .stages()
-        .iter()
-        .map(|s| (0..s.replication).map(|_| sim.reserve_actor()).collect())
-        .collect();
-    let gauges: Vec<Rc<RefCell<StageGauge>>> = graph
-        .stages()
-        .iter()
-        .map(|s| Rc::new(RefCell::new(StageGauge::new(s.replication))))
-        .collect();
-    // Balancer-owned routing weights, one shared vector per stage.
-    // Empty vectors mean "no weighting"; senders then take the exact
-    // weightless router path, so an idle balancer perturbs nothing.
-    let weight_handles: Vec<Rc<RefCell<Vec<f64>>>> = graph
-        .stages()
-        .iter()
-        .map(|_| Rc::new(RefCell::new(Vec::new())))
-        .collect();
-    let metrics = Rc::new(RefCell::new(Metrics::<R>::new(graph.stages().len())));
-    if cfg.trace_capacity > 0 {
-        metrics.borrow_mut().trace = Trace::enabled(cfg.trace_capacity);
-    }
-
-    // Fault-layer shared state (cheap to build; unused when inactive).
-    // The detector and loss schedules are precomputed timelines — the
-    // exact artifacts the parallel build shares across partitions.
-    let total_instances: usize = graph.stages().iter().map(|s| s.replication).sum();
-    let detected = Arc::new(DetectedTimeline::build(
-        &spec.plan,
-        spec.heartbeat_period,
-        spec.heartbeat_timeout,
-        total_nodes,
-    ));
-    let loss = Arc::new(LossTimeline::build(&spec.plan, total_nodes));
-    let flags = Rc::new(RefCell::new(vec![InstFlags::default(); total_instances]));
-    let mut instances_on: Vec<Vec<usize>> = vec![Vec::new(); total_nodes];
-    let mut inst_actor: Vec<ActorId> = Vec::with_capacity(total_instances);
-    let mut inst_downstream: Vec<Option<Vec<(ActorId, usize)>>> =
-        Vec::with_capacity(total_instances);
-
-    // Snapshot-mode balancer (the default): watched stages are known up
-    // front so instances can be armed as they are built. Reserving the
-    // controller slot first keeps actor ids identical to the live-mode
-    // layout (instances, controller, balancer).
-    let snapshot_bal = balance_on && !cfg.balance.live;
-    let watched: Vec<usize> = if balance_on {
-        watched_stages(&graph)
-    } else {
-        Vec::new()
-    };
-    let ctrl_id = active.then(|| sim.reserve_actor());
-    let bal_id = (snapshot_bal && !watched.is_empty()).then(|| sim.reserve_actor());
-    // Repair slots: one agent per ASU, then the coordinator — after the
-    // balancer slot, the same relative layout (and therefore the same
-    // same-instant tiebreak order) the parallel build reserves.
-    let repair_ids = repair_on.then(|| {
-        let agents: Vec<ActorId> = (0..cfg.asus).map(|_| sim.reserve_actor()).collect();
-        let coord = sim.reserve_actor();
-        (agents, coord)
-    });
-    // Scheduler slot last: gated runs are fault-free and sequential,
-    // so the extra actor never perturbs the layouts above.
-    let sched_id = sched.as_ref().map(|_| sim.reserve_actor());
-
-    // Upstream EOS expectations.
-    let eos_expected: Vec<usize> = (0..graph.stages().len())
-        .map(|s| {
-            let stage = &graph.stages()[s];
-            let from_edges: usize = graph
-                .edges()
-                .iter()
-                .filter(|e| e.to == StageId(s))
-                .map(|e| graph.stages()[e.from.0].replication)
-                .sum();
-            from_edges + usize::from(stage.is_source)
-        })
-        .collect();
-
-    let mut global_idx = 0u64;
-    for (s, stage) in graph.stages().iter().enumerate() {
-        for i in 0..stage.replication {
-            let node_id = placement
-                .node_of(StageId(s), i)
-                .ok_or(JobError::UnplacedInstance {
-                    stage: s,
-                    instance: i,
-                })?;
-            let my_node = node_index(cfg, node_id);
-            let down = match graph.out_edge(StageId(s)) {
-                Some(e) => {
-                    let to = e.to.0;
-                    let to_stage = &graph.stages()[to];
-                    let mut node_ids = Vec::with_capacity(to_stage.replication);
-                    let mut node_idx = Vec::with_capacity(to_stage.replication);
-                    for j in 0..to_stage.replication {
-                        let nid = placement
-                            .node_of(e.to, j)
-                            .ok_or(JobError::UnplacedInstance {
-                                stage: to,
-                                instance: j,
-                            })?;
-                        node_idx.push(node_index(cfg, nid));
-                        node_ids.push(nid);
-                    }
-                    let capacities = node_ids.iter().map(|&id| node_speed(cfg, id)).collect();
-                    let group_size = match e.scope {
-                        lmas_core::RouteScope::Global => to_stage.replication,
-                        lmas_core::RouteScope::PortGroups { group_size } => group_size,
-                    };
-                    Some(Downstream {
-                        actors: actor_ids[to].clone(),
-                        node_ids,
-                        node_idx,
-                        capacities,
-                        router: Router::new(e.routing, cfg.seed, global_idx),
-                        gauge: GaugeHandle::Live(gauges[to].clone()),
-                        // Snapshot mode: each sender owns its weights
-                        // and receives `WeightUpdate`s individually —
-                        // the same per-sender channel the partitioned
-                        // build uses, so same-instant interleavings
-                        // cannot diverge between the engines. Live
-                        // compat mode keeps the shared per-stage cell
-                        // the `BalancerActor` writes directly.
-                        weights: if snapshot_bal {
-                            Rc::new(RefCell::new(Vec::new()))
-                        } else {
-                            weight_handles[to].clone()
-                        },
-                        group_size,
-                        dest_stage: to,
-                        coded_r: e.coded_group,
-                        coded_buf: if e.coded_group > 1 {
-                            vec![
-                                Vec::new();
-                                actor_ids[to].len().div_ceil(e.coded_group)
-                            ]
-                        } else {
-                            Vec::new()
-                        },
-                        _marker: std::marker::PhantomData,
-                    })
-                }
-                None => None,
-            };
-            instances_on[my_node].push(inst_actor.len());
-            inst_actor.push(actor_ids[s][i]);
-            inst_downstream.push(down.as_ref().map(|d| {
-                d.actors
-                    .iter()
-                    .copied()
-                    .zip(d.node_idx.iter().copied())
-                    .collect()
-            }));
-            let source_data: VecDeque<Packet<R>> =
-                inputs.remove(&(s, i)).map(Into::into).unwrap_or_default();
-            let fault = active.then(|| InstanceFault {
-                detected: detected.clone(),
-                loss: loss.clone(),
-                flags: flags.clone(),
-                backoff: spec.backoff,
-                fail_fast: spec.fail_fast,
-                my_node,
-                my_global: inst_actor.len() - 1,
-                factory: stage.factory_handle(),
-                // Keyed by global instance index: the same stream
-                // whichever partition (or engine) hosts the instance.
-                rng: DetRng::stream(cfg.seed, (1u64 << 62) | global_idx),
-            });
-            let watched_here = bal_id.is_some() && watched.binary_search(&s).is_ok();
-            let actor = InstanceActor {
-                stage: s,
-                instance: i,
-                functor: stage.instantiate(i),
-                node: node_rc(node_id),
-                queue: VecDeque::new(),
-                pending: None,
-                eos_expected: eos_expected[s],
-                eos_seen: 0,
-                flushed: false,
-                down,
-                source_data,
-                is_source: stage.is_source,
-                source_live: true,
-                ra: (cfg.storage.pool_frames > 0 && stage.is_source).then(|| RaState {
-                    window: cfg.storage.read_ahead + 1,
-                    staged: 0,
-                    pending: false,
-                    eos_sent: false,
-                }),
-                global_tag: global_idx,
-                epoch: 0,
-                my_gauge: (!stage.is_source).then(|| (GaugeHandle::Live(gauges[s].clone()), i)),
-                metrics: metrics.clone(),
-                link_rate: cfg.link_bytes_per_sec,
-                latency: cfg.link_latency,
-                ctl,
-                fault,
-                sample: watched_here.then(|| SampleState {
-                    period: cfg.balance.period,
-                    report_delay: cfg.balance.period.max(ctl),
-                    balancer: bal_id.expect("watched implies a balancer"),
-                    armed: true,
-                }),
-                // Sink instances of a gated run report their flush to
-                // the scheduler so it can detect job completion.
-                sched: match (&sched, &sched_id) {
-                    (Some(ss), Some(sid)) if graph.out_edge(StageId(s)).is_none() => {
-                        Some((*sid, ss.stage_job[s]))
-                    }
-                    _ => None,
-                },
-            };
-            sim.install(actor_ids[s][i], Box::new(actor));
-            // Gated runs hold source seeds back: the scheduler sends the
-            // first `SourceNext` at each job's dispatch instant.
-            if stage.is_source && sched.is_none() {
-                sim.seed_message(actor_ids[s][i], SimTime::ZERO, Msg::SourceNext);
-            }
-            if watched_here {
-                // First sample lands one period in; the partitioned
-                // build seeds the identical grid per owned instance.
-                sim.seed_message(
-                    actor_ids[s][i],
-                    SimTime(cfg.balance.period.as_nanos()),
-                    Msg::SampleTick,
-                );
-            }
-            global_idx += 1;
-        }
-    }
-
-    if active {
-        let ctrl = ctrl_id.expect("reserved when active");
-        let events = spec.plan.sorted_events();
-        // Health steps first, then the precomputed detection verdicts —
-        // the same phase order every parallel partition uses, so
-        // same-instant steps tiebreak identically. Link-loss steps are
-        // never seeded: senders sample the loss timeline directly.
-        for (i, ev) in events.iter().enumerate() {
-            if matches!(ev, FaultEvent::LinkLoss { .. }) {
-                continue;
-            }
-            sim.seed_message(ctrl, ev.at(), Msg::FaultStep(i));
-        }
-        for &(node, at) in detected.detections() {
-            sim.seed_message(ctrl, at, Msg::Detect(node));
-        }
-        sim.install(
-            ctrl,
-            Box::new(FaultController {
-                events,
-                nodes: nodes.iter().map(|n| Some(n.clone())).collect(),
-                flags: flags.clone(),
-                instances_on,
-                inst_actor,
-                inst_downstream,
-                ctl,
-                metrics: metrics.clone(),
-            }),
-        );
-    }
-
-    // The runtime balancer watches every replicated stage that is fed
-    // through a policy with routing freedom (anything but Static) and
-    // re-weights its upstream routers by inverse backlog. Snapshot mode
-    // (the default) is purely reactive — the watched instances seeded
-    // above drive it; the live compat sampler keeps its own timer.
-    if let Some(bal) = bal_id {
-        let targets: Vec<SnapTarget> = watched
-            .iter()
-            .map(|&s| SnapTarget {
-                stage: s,
-                replication: graph.stages()[s].replication,
-                senders: graph
-                    .edges()
-                    .iter()
-                    .filter(|e| e.to.0 == s)
-                    .flat_map(|e| actor_ids[e.from.0].iter().copied())
-                    .collect(),
-            })
-            .collect();
-        sim.install(
-            bal,
-            Box::new(SnapshotBalancer {
-                spec: cfg.balance,
-                targets,
-                snap: BTreeMap::new(),
-                pending: false,
-                ctl,
-                cur: BTreeMap::new(),
-                metrics: metrics.clone(),
-            }),
-        );
-    } else if balance_on && cfg.balance.live {
-        let targets: Vec<BalanceTarget> = watched
-            .iter()
-            .map(|&s| {
-                let node_idx = (0..graph.stages()[s].replication)
-                    .map(|j| {
-                        // Already resolved above for every instance.
-                        let nid = placement.node_of(StageId(s), j).expect("validated");
-                        node_index(cfg, nid)
-                    })
-                    .collect();
-                BalanceTarget {
-                    stage: s,
-                    gauge: gauges[s].clone(),
-                    weights: weight_handles[s].clone(),
-                    node_idx,
-                }
-            })
-            .collect();
-        if !targets.is_empty() {
-            let bal = sim.reserve_actor();
-            sim.seed_message(
-                bal,
-                SimTime(cfg.balance.period.as_nanos()),
-                Msg::BalanceTick,
-            );
-            sim.install(
-                bal,
-                Box::new(BalancerActor {
-                    spec: cfg.balance,
-                    targets,
-                    nodes: nodes.clone(),
-                    metrics: metrics.clone(),
-                    last_seen: SimTime::ZERO,
-                }),
-            );
-        }
-    }
-
-    if let Some((agents, coord)) = repair_ids {
-        let rs = spec.repair.expect("repair_on implies a spec");
-        let timeline = Arc::new(repair_timeline(&spec.plan, &detected, cfg.hosts, cfg.asus));
-        let engine = RepairEngine::new(rs, cfg.asus);
-        {
-            let mut m = metrics.borrow_mut();
-            m.repair_src_bytes = vec![0; cfg.asus];
-            // Initial mirror: a run whose plan never touches an ASU
-            // still reports the placement's (all-at-target) histogram.
-            m.replica_hist = engine.hist().to_vec();
-        }
-        for (d, &agent) in agents.iter().enumerate() {
-            sim.install(
-                agent,
-                Box::new(RepairAgent {
-                    ordinal: d,
-                    node: nodes[cfg.hosts + d].clone(),
-                    coord,
-                    agents_base: agents[0].0,
-                    queue: VecDeque::new(),
-                    busy: false,
-                    next_slot: SimTime::ZERO,
-                    wbuf: Vec::new(),
-                    wflush_at: SimTime::NEVER,
-                    pace: rs.pace(),
-                    link_rate: cfg.link_bytes_per_sec,
-                    latency: cfg.link_latency,
-                    ctl,
-                    metrics: metrics.clone(),
-                }),
-            );
-        }
-        // Timeline steps, then the sampling grid — seeded after the
-        // fault controller's events, the exact relative order the
-        // parallel build's partition 0 issues.
-        for (i, &(at, _)) in timeline.iter().enumerate() {
-            sim.seed_message(coord, at, Msg::RepairStep(i));
-        }
-        if rs.sample_every.as_nanos() > 0 {
-            if let Some(&(last, _)) = timeline.last() {
-                let mut k = 0u64;
-                loop {
-                    let at = SimTime(k.saturating_mul(rs.sample_every.as_nanos()));
-                    if at > last {
-                        break;
-                    }
-                    sim.seed_message(coord, at, Msg::RepairSampleTick);
-                    k += 1;
-                }
-            }
-        }
-        sim.install(
-            coord,
-            Box::new(RepairCoordinator {
-                engine,
-                timeline,
-                agents,
-                ctl,
-                sampling: rs.sample_every.as_nanos() > 0,
-                buf: Vec::new(),
-                flush_at: SimTime::NEVER,
-                metrics: metrics.clone(),
-            }),
-        );
-    }
-
-    // Multi-tenant gate: seed one `JobArrive` per job at its arrival
-    // instant and install the scheduler actor. A lone job arriving at
-    // time zero replays the direct path exactly — its `JobArrive` is
-    // the only seed at zero, and dispatching enqueues the job's
-    // `SourceNext`s in the same stage-major order the loop above seeds.
-    let gated = sched.is_some();
-    if let Some(ss) = sched {
-        let sid = sched_id.expect("reserved alongside the setup");
-        debug_assert_eq!(ss.stage_job.len(), graph.stages().len());
-        for (j, &at) in ss.arrivals.iter().enumerate() {
-            sim.seed_message(sid, at, Msg::JobArrive(j));
-        }
-        let n_jobs = ss.arrivals.len();
-        let sources: Vec<Vec<ActorId>> = ss
-            .sources
-            .iter()
-            .map(|srcs| srcs.iter().map(|&(s, i)| actor_ids[s][i]).collect())
-            .collect();
-        sim.install(
-            sid,
-            Box::new(SchedActor {
-                gate: ss.gate,
-                sources,
-                sinks_expected: ss.sinks,
-                sinks_seen: vec![0; n_jobs],
-                done: vec![false; n_jobs],
-                log: ss.log,
-                metrics: metrics.clone(),
-            }),
-        );
-    }
-
-    let outcome = sim.run();
-    let fatal = metrics.borrow().fatal;
-    if let Some(FatalFault { stage, at }) = fatal {
-        debug_assert_eq!(outcome, RunOutcome::Stopped);
-        let records_processed = metrics.borrow().records_processed;
-        return Err(JobError::AllReplicasDown {
-            stage,
-            at,
-            records_processed,
-        });
-    }
-    debug_assert_eq!(outcome, RunOutcome::Drained, "job should drain");
-    let dispatched = sim.dispatched();
-
-    // Makespan: last event, all CPU queues drained, all disks quiesced.
-    // Under faults, plan events with no application effect (e.g. a
-    // recovery after the data drained) should not count: start from the
-    // last *application* activity instead of the last dispatch. The
-    // same applies to the balancer's trailing sample tick, which lands
-    // one period after the job quiesced.
-    // Gated runs also start from application activity: a trailing
-    // arrival the gate rejected should not stretch the makespan.
-    let mut end = if active || balance_on || gated {
-        metrics.borrow().last_activity
-    } else {
-        sim.now()
-    };
-    for n in &nodes {
-        let n = n.borrow();
-        end = end.max(n.cpu_free_at()).max(n.disk_quiesce());
-    }
-    // Flush staged storage (scheduler residue, dirty pool frames): the
-    // job only completes once write-behind data is durable. All nodes
-    // drain from the same base instant so the order of this loop cannot
-    // matter. Skipped entirely for the plain spec (nothing is ever
-    // staged) to keep the legacy path byte-identical.
-    if !cfg.storage.is_plain() {
-        let base = end;
-        for n in &nodes {
-            end = end.max(n.borrow_mut().storage_drain(base));
-        }
-    }
-    let makespan = end.since(SimTime::ZERO);
-    // Release the actors (and with them their Rc clones of the metrics).
-    drop(sim);
-
-    let node_reports = nodes
-        .iter()
-        .map(|n| {
-            let n = n.borrow();
-            NodeReport {
-                id: n.id,
-                mean_cpu_util: n.mean_cpu_utilization(end),
-                cpu_busy: n.cpu_busy(),
-                cpu_series: n.cpu_utilization(end),
-                records: n.records_processed(),
-                disk: n.disk_counters(),
-                per_disk: n.per_disk_stats(),
-                per_disk_busy: n.per_disk_busy(),
-                pool: n.pool_stats(),
-                nic_busy: n.nic_busy(),
-                nic_bytes_tx: n.nic_bytes_tx(),
-                peak_state_bytes: n.peak_state_bytes(),
-                health: n.health(),
-            }
-        })
-        .collect();
-    let down_nodes: Vec<NodeId> = nodes
-        .iter()
-        .filter(|n| n.borrow().is_down())
-        .map(|n| n.borrow().id)
-        .collect();
-
-    // Every actor was dropped with the simulation, so this Rc should be
-    // unique; if an embedding keeps one alive anyway, degrade to a
-    // clone-out instead of aborting a run that already finished.
-    let m = match Rc::try_unwrap(metrics) {
-        Ok(cell) => cell.into_inner(),
-        Err(rc) => {
-            debug_assert!(false, "metrics still shared after the simulation dropped");
-            rc.borrow().clone()
-        }
-    };
-    let stage_work = graph
-        .stages()
-        .iter()
-        .zip(&m.stage_work)
-        .map(|(s, &w)| (s.name.clone(), w))
-        .collect();
-    let queue_stats = graph
-        .stages()
-        .iter()
-        .enumerate()
-        .map(|(s, st)| StageQueueStats {
-            stage: st.name.clone(),
-            instances: gauges[s].borrow().stats(end),
-        })
-        .collect();
-
-    Ok(EmulationReport {
-        makespan,
-        nodes: node_reports,
-        stage_work,
-        stage_records_in: m.stage_records_in,
-        stage_usage: m.stage_usage,
-        sink_outputs: m.sink_outputs,
-        records_processed: m.records_processed,
-        mem_violations: m.mem_violations,
-        dispatched,
-        trace: m.trace,
-        down_nodes,
-        fault: m.fault,
-        queue_stats,
-        reweights: m.reweights,
-        repair: m.repair,
-        repair_trajectory: m.repair_samples,
-        replica_hist: m.replica_hist,
-        repair_src_bytes: m.repair_src_bytes,
-        par: None,
-        par_fallback,
-    })
+    run_partitioned_job(cfg, &FaultSpec::none(), job, Some(setup))
 }
 
 /// The stages the runtime balancer watches: replicated stages fed
@@ -2812,7 +2132,8 @@ fn watched_stages<R: Record>(graph: &FlowGraph<R>) -> Vec<usize> {
 /// Whether the partitioned engine can reproduce this graph's routing
 /// draws bit-for-bit. Backlog-sensitive policies (LoadAware, power of
 /// two choices) read the live cross-partition queue depths at pick time,
-/// which a deferred gauge journal cannot provide; they stay sequential.
+/// which a deferred gauge journal cannot provide; they run on one
+/// partition.
 /// Single-instance groups never exercise a choice, so any policy is fine
 /// there.
 fn parallel_eligible<R: Record>(graph: &FlowGraph<R>) -> bool {
@@ -2839,6 +2160,9 @@ fn parallel_eligible<R: Record>(graph: &FlowGraph<R>) -> bool {
 /// contiguous split spreads any stride narrower than a block evenly.
 /// (For `H ≤ 2` the two mappings coincide.)
 fn node_partition(hosts: usize, nparts: usize, id: NodeId) -> u32 {
+    if nparts == 1 {
+        return 0;
+    }
     let h = match id {
         NodeId::Host(h) => h,
         NodeId::Asu(a) => a % hosts,
@@ -2847,8 +2171,8 @@ fn node_partition(hosts: usize, nparts: usize, id: NodeId) -> u32 {
 }
 
 /// One row of the global instance table shared by every partition
-/// worker: the sequential build order (stage-major), so index == global
-/// actor id == global instance tag.
+/// worker: the build order (stage-major), so index == global actor id ==
+/// global instance tag.
 struct InstSpec {
     stage: usize,
     instance: usize,
@@ -2865,9 +2189,8 @@ struct EmPartOut<R: Record> {
     /// index for the final hosts-then-ASUs ordering.
     nodes: Vec<(usize, NodeReport)>,
     metrics: Metrics<R>,
-    /// Per-stage gauge journals (this partition's share of the gauge
-    /// mutations).
-    journals: Vec<GaugeJournal>,
+    /// This partition's share of each stage's backlog gauge.
+    gauges: Vec<GaugeShare>,
 }
 
 /// Thread-local state carried from build to finish (`Rc` handles shared
@@ -2876,11 +2199,15 @@ struct EmBuilt<R: Record> {
     /// Owned nodes, indexed by dense node index (`None` = another
     /// partition's node).
     nodes: Vec<Option<Rc<RefCell<NodeRes>>>>,
-    journals: Vec<Rc<RefCell<GaugeJournal>>>,
+    gauges: Vec<GaugeHandle>,
     metrics: Rc<RefCell<Metrics<R>>>,
+    /// A scheduler gates the sources (the makespan then starts from the
+    /// last application activity, not a trailing rejected arrival).
+    gated: bool,
 }
 
-/// Builds and harvests one partition of a parallel emulation.
+/// Builds and harvests one partition of an emulation (the only one at
+/// `P = 1`).
 struct EmWorker<R: Record> {
     part: u32,
     nparts: usize,
@@ -2888,7 +2215,7 @@ struct EmWorker<R: Record> {
     spec: FaultSpec,
     /// The fault layer is on (a controller slot exists per partition).
     active: bool,
-    /// Shared precomputed fault timelines (identical to sequential's).
+    /// Precomputed fault timelines, shared by every partition.
     detected: Arc<DetectedTimeline>,
     loss: Arc<LossTimeline>,
     /// Snapshot-balancer watched stages (empty = balancer off).
@@ -2905,6 +2232,9 @@ struct EmWorker<R: Record> {
     eos_expected: Arc<Vec<usize>>,
     /// Source inputs for instances this partition owns.
     inputs: BTreeMap<(usize, usize), Vec<Packet<R>>>,
+    /// Multi-tenant gate of a scheduled run (always a one-partition
+    /// run): installed on this partition, taken by `build`.
+    sched: Option<SchedSetup>,
 }
 
 impl<R: Record> EmWorker<R> {
@@ -2934,11 +2264,13 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
         } else {
             0
         };
-        sim.reserve_to(n_inst + n_ctrl + usize::from(has_bal) + n_repair);
+        let sched = self.sched.take();
         // One fault-controller slot per partition right after the
-        // instances, then the (partition-0-owned) balancer slot — the
-        // same relative layout as the sequential build.
+        // instances, then the (partition-0-owned) balancer slot, the
+        // repair slots, and the scheduler slot last.
         let bal_actor = ActorId(n_inst + n_ctrl);
+        let sched_actor = ActorId(n_inst + n_ctrl + usize::from(has_bal) + n_repair);
+        sim.reserve_to(sched_actor.0 + usize::from(sched.is_some()));
 
         // Every node is instantiated by exactly one partition (reports
         // cover idle nodes too); only owned actors ever touch it.
@@ -2952,10 +2284,19 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
                     .then(|| Rc::new(RefCell::new(NodeRes::new(id, cfg)))),
             );
         }
-        let journals: Vec<Rc<RefCell<GaugeJournal>>> = graph
+        // One partition mutates the live gauges (backlog-sensitive
+        // routers read them at pick time); several each journal their
+        // share for an exact replay after the run.
+        let gauges: Vec<GaugeHandle> = graph
             .stages()
             .iter()
-            .map(|s| Rc::new(RefCell::new(GaugeJournal::new(s.replication))))
+            .map(|s| {
+                if self.nparts == 1 {
+                    GaugeHandle::Live(Rc::new(RefCell::new(StageGauge::new(s.replication))))
+                } else {
+                    GaugeHandle::Journal(Rc::new(RefCell::new(GaugeJournal::new(s.replication))))
+                }
+            })
             .collect();
         let metrics = Rc::new(RefCell::new(Metrics::<R>::new(graph.stages().len())));
         if cfg.trace_capacity > 0 {
@@ -2995,16 +2336,11 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
                     node_ids,
                     node_idx,
                     capacities,
-                    // Same per-sender stream index as the sequential
-                    // build (global instance order), so SR draws align.
+                    // Per-sender stream keyed by global instance index,
+                    // so SR draws align however the run partitions.
                     router: Router::new(e.routing, cfg.seed, idx as u64),
-                    gauge: GaugeHandle::Journal(journals[to].clone()),
-                    // Per-sender weights, fed by `WeightUpdate`s from
-                    // the snapshot balancer — the identical channel the
-                    // sequential snapshot build uses. Empty until the
-                    // first reweight (if ever), like the weightless
-                    // sequential vector.
-                    weights: Rc::new(RefCell::new(Vec::new())),
+                    gauge: gauges[to].clone(),
+                    weights: Vec::new(),
                     group_size,
                     dest_stage: to,
                     coded_r: e.coded_group,
@@ -3049,12 +2385,7 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
                 }),
                 global_tag: idx as u64,
                 epoch: 0,
-                my_gauge: (!stage.is_source).then(|| {
-                    (
-                        GaugeHandle::Journal(journals[sp.stage].clone()),
-                        sp.instance,
-                    )
-                }),
+                my_gauge: (!stage.is_source).then(|| (gauges[sp.stage].clone(), sp.instance)),
                 metrics: metrics.clone(),
                 link_rate: cfg.link_bytes_per_sec,
                 latency: cfg.link_latency,
@@ -3068,7 +2399,8 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
                     my_node: node_index(cfg, sp.node),
                     my_global: idx,
                     factory: stage.factory_handle(),
-                    // Same global-index-keyed stream as sequential.
+                    // Keyed by global instance index: the same stream
+                    // whichever partition hosts the instance.
                     rng: DetRng::stream(cfg.seed, (1u64 << 62) | idx as u64),
                 }),
                 sample: (has_bal && self.watched.binary_search(&sp.stage).is_ok()).then(|| {
@@ -3079,12 +2411,18 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
                         armed: true,
                     }
                 }),
-                // Gated runs never reach the partitioned engine.
-                sched: None,
+                // Sink instances of a gated run report their flush to
+                // the scheduler so it can detect job completion.
+                sched: sched
+                    .as_ref()
+                    .filter(|_| graph.out_edge(StageId(sp.stage)).is_none())
+                    .map(|ss| (sched_actor, ss.stage_job[sp.stage])),
             };
             let watched_here = actor.sample.is_some();
             sim.install(ActorId(idx), Box::new(actor));
-            if stage.is_source {
+            // Gated runs hold source seeds back: the scheduler sends the
+            // first `SourceNext` at each job's dispatch instant.
+            if stage.is_source && sched.is_none() {
                 // Ascending actor-id order (the iteration order), as the
                 // partitioned seeding contract requires.
                 sim.seed_message(ActorId(idx), SimTime::ZERO, Msg::SourceNext);
@@ -3188,9 +2526,8 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
         }
 
         if let Some(rs) = repair_spec {
-            // Same relative layout as the sequential build: agents for
-            // ASU ordinals 0..D (each on its node's partition), then the
-            // coordinator on partition 0.
+            // Agents for ASU ordinals 0..D (each on its node's
+            // partition), then the coordinator on partition 0.
             let agents_base = n_inst + n_ctrl + usize::from(has_bal);
             let coord = ActorId(agents_base + cfg.asus);
             metrics.borrow_mut().repair_src_bytes = vec![0; cfg.asus];
@@ -3255,22 +2592,59 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
                 );
             }
         }
+        // Multi-tenant gate: one `JobArrive` per job at its arrival
+        // instant. A lone job arriving at time zero replays the direct
+        // path exactly — its `JobArrive` is the only seed at zero, and
+        // dispatching enqueues the job's `SourceNext`s in the same
+        // stage-major order the instance loop seeds them ungated.
+        let gated = sched.is_some();
+        if let Some(ss) = sched {
+            debug_assert_eq!(ss.stage_job.len(), graph.stages().len());
+            for (j, &at) in ss.arrivals.iter().enumerate() {
+                sim.seed_message(sched_actor, at, Msg::JobArrive(j));
+            }
+            let n_jobs = ss.arrivals.len();
+            let sources: Vec<Vec<ActorId>> = ss
+                .sources
+                .iter()
+                .map(|srcs| {
+                    srcs.iter()
+                        .map(|&(s, i)| ActorId(self.stage_base[s] + i))
+                        .collect()
+                })
+                .collect();
+            sim.install(
+                sched_actor,
+                Box::new(SchedActor {
+                    gate: ss.gate,
+                    sources,
+                    sinks_expected: ss.sinks,
+                    sinks_seen: vec![0; n_jobs],
+                    done: vec![false; n_jobs],
+                    log: ss.log,
+                    metrics: metrics.clone(),
+                }),
+            );
+        }
         EmBuilt {
             nodes,
-            journals,
+            gauges,
             metrics,
+            gated,
         }
     }
 
     fn finish(self, built: EmBuilt<R>, sim: Simulation<Msg<R>>, ops: &ParOps<'_>) -> EmPartOut<R> {
-        // Same horizon algebra as the sequential path, with collective
-        // max-reductions standing in for the global scans: last dispatch
-        // anywhere, every CPU queue drained, every disk quiesced. Under
-        // faults or a balancer, start from the last *application*
-        // activity instead of the last dispatch (the sequential rule):
-        // the global last activity is the max of the partition-local
-        // ones, which the reduction folds in.
-        let mut local = if self.active || self.cfg.balance.is_active() {
+        // Makespan: last dispatch anywhere, every CPU queue drained,
+        // every disk quiesced — collective max-reductions over the
+        // partitions (the identity at P = 1). Plan events with no
+        // application effect (a recovery after the data drained), the
+        // balancer's trailing sample tick and a trailing arrival the
+        // gate rejected must not count: under faults, a balancer or a
+        // gate, start from the last *application* activity instead of
+        // the last dispatch. The global last activity is the max of the
+        // partition-local ones, which the reduction folds in.
+        let mut local = if self.active || self.cfg.balance.is_active() || built.gated {
             built.metrics.borrow().last_activity
         } else {
             sim.now()
@@ -3281,9 +2655,11 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
         }
         let mut end = SimTime(ops.allreduce_max(local.as_nanos()));
         if !self.cfg.storage.is_plain() {
-            // All nodes drain from the same (agreed) base instant, so
-            // partition order cannot matter — same argument as the
-            // sequential loop.
+            // Flush staged storage (scheduler residue, dirty pool
+            // frames): the job only completes once write-behind data is
+            // durable. All nodes drain from the same (agreed) base
+            // instant, so neither node nor partition order can matter.
+            // Skipped for the plain spec, which never stages anything.
             let base = end;
             let mut local = end;
             for n in built.nodes.iter().flatten() {
@@ -3291,7 +2667,7 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
             }
             end = SimTime(ops.allreduce_max(local.as_nanos()));
         }
-        // Release the actors (and their Rc clones of metrics/journals).
+        // Release the actors (and their Rc clones of metrics/gauges).
         drop(sim);
 
         let nodes = built
@@ -3328,43 +2704,118 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
                 rc.borrow().clone()
             }
         };
-        let journals = built
-            .journals
-            .into_iter()
-            .map(|j| match Rc::try_unwrap(j) {
-                Ok(cell) => cell.into_inner(),
-                Err(rc) => rc.borrow().clone(),
-            })
-            .collect();
         EmPartOut {
             end,
             nodes,
             metrics,
-            journals,
+            gauges: built
+                .gauges
+                .into_iter()
+                .map(GaugeHandle::into_share)
+                .collect(),
         }
     }
 }
 
-/// Execute an eligible job on the partitioned engine — including
-/// faulted and (snapshot-)balanced runs. The report is equivalent to
-/// the sequential path's — same virtual times, same dispatch counts,
-/// same merged trace and gauge history — except for
-/// [`EmulationReport::par`], which records how the run was parallelized.
-fn run_job_parallel<R: Record>(
+/// The one driver behind [`run_job`], [`run_job_with_faults`] and
+/// [`run_job_sched`]: validate the job, choose the partition count, build
+/// every partition through [`EmWorker`], run, and assemble the report.
+///
+/// `P = min(threads, hosts)` when the run is eligible; otherwise `P = 1`
+/// and [`EmulationReport::par_fallback`] records why. A one-partition run
+/// executes inline on the sequential calendar (live gauges, `request_stop`
+/// for `fail_fast`) and its partition's metrics and gauges are the
+/// report's, with no merge or replay. At `P > 1` the partition shares
+/// merge back into exactly that report — same virtual times, dispatch
+/// counts, merged trace and gauge history — and [`EmulationReport::par`]
+/// records how the run was parallelized.
+fn run_partitioned_job<R: Record>(
     cfg: &ClusterConfig,
     spec: &FaultSpec,
-    graph: FlowGraph<R>,
-    placement: Placement,
-    mut inputs: BTreeMap<(usize, usize), Vec<Packet<R>>>,
+    job: Job<R>,
+    mut sched: Option<SchedSetup>,
 ) -> Result<EmulationReport<R>, JobError> {
-    let nparts = cfg.threads.min(cfg.hosts).max(1);
+    let Job {
+        graph,
+        placement,
+        mut inputs,
+    } = job;
+    graph.validate()?;
+    placement.validate(&graph.placement_rows(), cfg.asu_mem_bytes)?;
+    for (s, stage) in graph.stages().iter().enumerate() {
+        if !stage.is_source && graph.in_degree(StageId(s)) == 0 {
+            return Err(JobError::DisconnectedStage(StageId(s)));
+        }
+    }
+    for &(s, i) in inputs.keys() {
+        if !graph.stages()[s].is_source {
+            return Err(JobError::InputForNonSource {
+                stage: s,
+                instance: i,
+            });
+        }
+    }
     let active = spec.is_active();
     let total_nodes = cfg.total_nodes();
-    // Same control delay the eligibility gate computed: the lookahead.
+    if active {
+        if spec.heartbeat_period.as_nanos() == 0 {
+            return Err(JobError::ZeroHeartbeatPeriod);
+        }
+        for ev in spec.plan.sorted_events() {
+            let bad = match ev {
+                FaultEvent::LinkLoss { from, to, .. } => from.max(to),
+                other => other.node(),
+            };
+            if bad >= total_nodes {
+                return Err(JobError::FaultPlanNode { node: bad });
+            }
+        }
+    }
+    // Background re-replication engages only with the fault layer on
+    // (without a plan there is nothing to repair), but a spec that does
+    // not fit the cluster is a typed error either way, before anything
+    // runs.
+    if let Some(rs) = &spec.repair {
+        if let Err(why) = rs.validate(cfg.asus) {
+            return Err(JobError::RepairConfig(why));
+        }
+    }
+    let repair_on = active && spec.repair.is_some();
+
+    // The control delay: the minimum cross-node delay (link latency
+    // plus the NIC's per-frame overhead service), which is exactly the
+    // partitioned engine's lookahead. Every cross-node control message
+    // (NACK bounce, fence EOS, depth report, weight update) travels
+    // with at least this much, so the protocol partitions cleanly.
     let ctl = SimDuration::from_nanos(
         cfg.link_latency.as_nanos()
             + nic_service(cfg.nic_frame_overhead_bytes, cfg.link_bytes_per_sec).as_nanos(),
     );
+    // The shapes more than one partition cannot reproduce run at P = 1
+    // and record why: gated runs (the scheduler holds source seeds back
+    // until it dispatches them — cross-partition control flow with no
+    // lookahead), backlog-sensitive routing (reads live cross-partition
+    // queue depths), a zero minimum cross-node delay (no lookahead), and
+    // `fail_fast` specs (a global early stop).
+    let par_fallback: Option<&'static str> = if cfg.threads <= 1 {
+        None
+    } else if sched.is_some() {
+        Some("scheduler")
+    } else if !parallel_eligible(&graph) {
+        Some("backlog routing")
+    } else if ctl.as_nanos() == 0 {
+        Some("zero latency")
+    } else if active && spec.fail_fast {
+        Some("fault plan")
+    } else {
+        None
+    };
+    let nparts = if par_fallback.is_some() {
+        1
+    } else {
+        cfg.threads.min(cfg.hosts).max(1)
+    };
+
     let detected = Arc::new(DetectedTimeline::build(
         &spec.plan,
         spec.heartbeat_period,
@@ -3372,15 +2823,14 @@ fn run_job_parallel<R: Record>(
         total_nodes,
     ));
     let loss = Arc::new(LossTimeline::build(&spec.plan, total_nodes));
-    // Eligibility already rejected the live compat sampler, so an
-    // active balancer here is snapshot-mode by construction.
     let watched: Arc<Vec<usize>> = Arc::new(if cfg.balance.is_active() {
         watched_stages(&graph)
     } else {
         Vec::new()
     });
 
-    // Global instance table in sequential build order; index == actor id.
+    // Global instance table in build order (stage-major); index ==
+    // actor id == instance tag.
     let mut specs: Vec<InstSpec> = Vec::new();
     let mut stage_base: Vec<usize> = Vec::with_capacity(graph.stages().len());
     for (s, stage) in graph.stages().iter().enumerate() {
@@ -3403,22 +2853,22 @@ fn run_job_parallel<R: Record>(
     }
     // Actor-ownership table: the instances, then (under faults) one
     // controller slot per partition, then the balancer slot on
-    // partition 0.
+    // partition 0, the repair slots (each agent on its ASU's partition,
+    // the coordinator on partition 0), and last the scheduler slot.
     let mut owner_vec: Vec<u32> = specs.iter().map(|sp| sp.part).collect();
     if active {
         owner_vec.extend(0..nparts as u32);
     }
-    let has_bal = !watched.is_empty();
-    if has_bal {
+    if !watched.is_empty() {
         owner_vec.push(0);
     }
-    // Repair slots: each agent on its ASU's partition, the coordinator
-    // on partition 0 (it owns the engine and the trajectory record).
-    let repair_on = active && spec.repair.is_some();
     if repair_on {
         for d in 0..cfg.asus {
             owner_vec.push(node_partition(cfg.hosts, nparts, NodeId::Asu(d)));
         }
+        owner_vec.push(0);
+    }
+    if sched.is_some() {
         owner_vec.push(0);
     }
     let repair_tl: Arc<Vec<(SimTime, RepairEv)>> = Arc::new(if repair_on {
@@ -3473,34 +2923,39 @@ fn run_job_parallel<R: Record>(
             stage_base: stage_base.clone(),
             eos_expected: eos_expected.clone(),
             inputs,
+            // Gated runs are one partition, so this is partition 0.
+            sched: sched.take(),
         })
         .collect();
 
     let outcome = run_partitioned(cfg.seed, owners, ctl, workers);
 
-    // Merge the partition shares back into the sequential report shape.
+    // Assemble the report from the partition shares (at P = 1, the one
+    // share as is).
     let end = outcome.results.first().map_or(SimTime::ZERO, |r| r.end);
     debug_assert!(outcome.results.iter().all(|r| r.end == end));
-    let mut node_reports: Vec<(usize, NodeReport)> = Vec::with_capacity(cfg.total_nodes());
+    let mut node_reports: Vec<(usize, NodeReport)> = Vec::with_capacity(total_nodes);
     let mut metrics_parts: Vec<Metrics<R>> = Vec::with_capacity(nparts);
-    let mut journal_parts: Vec<Vec<GaugeJournal>> = (0..nstages).map(|_| Vec::new()).collect();
+    let mut gauge_parts: Vec<Vec<GaugeShare>> = (0..nstages).map(|_| Vec::new()).collect();
     for part in outcome.results {
         node_reports.extend(part.nodes);
         metrics_parts.push(part.metrics);
-        for (s, j) in part.journals.into_iter().enumerate() {
-            journal_parts[s].push(j);
+        for (s, g) in part.gauges.into_iter().enumerate() {
+            gauge_parts[s].push(g);
         }
     }
     node_reports.sort_by_key(|&(ni, _)| ni);
-    debug_assert_eq!(
-        node_reports.len(),
-        cfg.total_nodes(),
-        "every node reported once"
-    );
+    debug_assert_eq!(node_reports.len(), total_nodes, "every node reported once");
     let m = Metrics::merge(metrics_parts);
-    // `fail_fast` specs fall back to the sequential engine, so a
-    // partitioned run can never hit the global early stop.
-    debug_assert!(m.fatal.is_none(), "fatal fault on the partitioned path");
+    // Only a one-partition run can stop early (`fail_fast` specs never
+    // partition), so a fatal fault is always the whole story.
+    if let Some(FatalFault { stage, at }) = m.fatal {
+        return Err(JobError::AllReplicasDown {
+            stage,
+            at,
+            records_processed: m.records_processed,
+        });
+    }
     let down_nodes: Vec<NodeId> = node_reports
         .iter()
         .filter(|(_, r)| matches!(r.health, NodeHealth::Down))
@@ -3516,11 +2971,10 @@ fn run_job_parallel<R: Record>(
     let queue_stats = graph
         .stages()
         .iter()
-        .enumerate()
-        .zip(journal_parts)
-        .map(|((_, st), parts)| StageQueueStats {
+        .zip(gauge_parts)
+        .map(|(st, shares)| StageQueueStats {
             stage: st.name.clone(),
-            instances: GaugeJournal::replay(parts).stats(end),
+            instances: GaugeShare::merge(shares).stats(end),
         })
         .collect();
 
@@ -3543,7 +2997,7 @@ fn run_job_parallel<R: Record>(
         repair_trajectory: m.repair_samples,
         replica_hist: m.replica_hist,
         repair_src_bytes: m.repair_src_bytes,
-        par: Some(ParRunStats {
+        par: (nparts > 1).then_some(ParRunStats {
             partitions: nparts,
             windows: outcome.windows,
             critical_dispatched: outcome.critical_dispatched,
@@ -3551,6 +3005,6 @@ fn run_job_parallel<R: Record>(
             window_width_hist: outcome.window_width_hist,
             barrier_wait_hist: outcome.barrier_wait_hist,
         }),
-        par_fallback: None,
+        par_fallback,
     })
 }

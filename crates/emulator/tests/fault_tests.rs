@@ -204,6 +204,18 @@ fn out_of_range_plan_node_is_rejected() {
     assert!(matches!(err, JobError::FaultPlanNode { node: 99 }));
 }
 
+/// An active spec whose failure detector never ticks is a typed error,
+/// not a panic.
+#[test]
+fn zero_heartbeat_period_is_rejected() {
+    let cfg = ClusterConfig::era_2002(1, 1, 8.0);
+    let mut spec = FaultSpec::with_plan(FaultPlan::new().crash(asu_index(&cfg, 0), SimTime(1)));
+    spec.heartbeat_period = SimDuration::ZERO;
+    let (g, placement, inputs) = replicated_relay_job(100, 1, RoutingPolicy::Static);
+    let err = run_job_with_faults(&cfg, &spec, Job { graph: g, placement, inputs }).unwrap_err();
+    assert!(matches!(err, JobError::ZeroHeartbeatPeriod), "{err}");
+}
+
 /// The same seeded chaos run, executed twice, is bit-identical: same
 /// makespan, same fault counters, same dispatch count, same output.
 #[test]

@@ -15,9 +15,8 @@
 use crate::error::SchedError;
 use lmas_emulator::{GateDecision, SchedGate};
 use lmas_sim::SimTime;
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 /// Dispatch-order policy for queued jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +96,7 @@ pub struct PolicyGate {
     node_load: Vec<f64>,
     deficit: Vec<f64>,
     rr: usize,
-    rejections: Rc<RefCell<Vec<SchedError>>>,
+    rejections: Arc<Mutex<Vec<SchedError>>>,
 }
 
 impl PolicyGate {
@@ -107,14 +106,14 @@ impl PolicyGate {
     /// typed rejection log, readable after the run consumes the gate.
     ///
     /// [`run_jobs`]: lmas_emulator::run_jobs
-    pub fn new(cfg: GateConfig, jobs: Vec<JobShape>) -> (PolicyGate, Rc<RefCell<Vec<SchedError>>>) {
+    pub fn new(cfg: GateConfig, jobs: Vec<JobShape>) -> (PolicyGate, Arc<Mutex<Vec<SchedError>>>) {
         assert!(cfg.tenants > 0, "gate needs at least one tenant");
         assert!(
             jobs.iter().all(|j| j.tenant < cfg.tenants),
             "job tenant out of range"
         );
         let nodes = jobs.iter().map(|j| j.cpu_share.len()).max().unwrap_or(0);
-        let rejections = Rc::new(RefCell::new(Vec::new()));
+        let rejections = Arc::default();
         let gate = PolicyGate {
             running: vec![false; jobs.len()],
             tenant_running: vec![0; cfg.tenants],
@@ -123,7 +122,7 @@ impl PolicyGate {
             node_load: vec![0.0; nodes],
             deficit: vec![0.0; cfg.tenants],
             rr: 0,
-            rejections: rejections.clone(),
+            rejections: Arc::clone(&rejections),
             cfg,
             jobs,
         };
@@ -312,7 +311,10 @@ impl SchedGate for PolicyGate {
                 cap: self.cfg.queue_cap,
             }
         };
-        self.rejections.borrow_mut().push(err);
+        self.rejections
+            .lock()
+            .expect("rejection log poisoned")
+            .push(err);
         GateDecision::Reject
     }
 
@@ -451,7 +453,7 @@ mod tests {
         assert_eq!(g.on_arrival(0, SimTime(0)), GateDecision::Dispatch);
         assert_eq!(g.on_arrival(1, SimTime(1)), GateDecision::Queue);
         assert_eq!(g.on_arrival(2, SimTime(2)), GateDecision::Reject);
-        let rej = log.borrow();
+        let rej = log.lock().unwrap();
         assert_eq!(
             rej.as_slice(),
             &[SchedError::QuotaExceeded { tenant: 0, limit: 1 }]
@@ -481,6 +483,6 @@ mod tests {
         assert_eq!(g.on_arrival(0, SimTime(0)), GateDecision::Dispatch);
         assert_eq!(g.on_arrival(1, SimTime(1)), GateDecision::Queue);
         assert_eq!(g.on_completion(0, SimTime(2)), vec![1]);
-        assert!(log.borrow().is_empty());
+        assert!(log.lock().unwrap().is_empty());
     }
 }

@@ -466,7 +466,7 @@ pub fn run_scheduled(
     );
     let run_cluster = shared_cluster.expect("at least one job was built");
     let rep = run_jobs(&run_cluster, tenant_jobs, Box::new(gate))?;
-    let rejections = rejection_log.borrow().clone();
+    let rejections = std::mem::take(&mut *rejection_log.lock().expect("rejection log poisoned"));
 
     Ok(SchedOutcome {
         policy: spec.policy.name(),

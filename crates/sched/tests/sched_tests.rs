@@ -215,7 +215,7 @@ fn drive_gate(
             check(&running, &mut counts);
         }
     }
-    let rejected = log.borrow().len();
+    let rejected = log.lock().unwrap().len();
     (dispatched, rejected)
 }
 

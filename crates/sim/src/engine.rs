@@ -14,7 +14,9 @@
 //! # Partitioned mode
 //!
 //! A `Simulation` can alternatively be created as one *partition* of a
-//! parallel run (see the [`crate::par`] coordinator). The actor-id space is
+//! parallel run of two or more partitions (see the [`crate::par`]
+//! coordinator; a one-partition run uses the sequential calendar, so the
+//! `Par` calendar only ever serves `P ≥ 2`). The actor-id space is
 //! global — every partition calls [`Simulation::reserve_to`] so ids agree —
 //! but each partition installs only the actors it owns and runs its own
 //! keyed calendar ([`crate::event::KeyedQueue`]). Sends to non-owned actors
@@ -74,8 +76,7 @@ struct ParCal<M> {
     /// Partition-chronological send counter (bits 15..63 of the event
     /// key). Increments on *every* send this partition makes, in dispatch
     /// order — the local restriction of the sequential engine's global
-    /// sequence number, and exactly that number when the run has a
-    /// single partition.
+    /// sequence number.
     ctr: u64,
     /// Key `(sched, packed)` of the event currently being dispatched.
     cur: (u64, u64),
@@ -115,7 +116,7 @@ impl<M> ParCal<M> {
 }
 
 /// The event calendar: a sequential queue with tokens and cancellation,
-/// or one partition's keyed calendar in parallel mode.
+/// or one partition's keyed calendar in parallel mode (`P ≥ 2` only).
 enum Calendar<M> {
     Seq(EventQueue<Envelope<M>>),
     Par(Box<ParCal<M>>),

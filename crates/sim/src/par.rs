@@ -1,6 +1,13 @@
 //! Conservative parallel coordinator: bounded-lag windows over
 //! partitioned [`Simulation`]s.
 //!
+//! A run with **one** partition never reaches that machinery:
+//! [`run_partitioned`] builds the worker's actors into a sequential
+//! [`Simulation::new`] calendar and runs it to completion on the calling
+//! thread — no threads, no barrier, no windows — so every engine feature
+//! (cancellation, `request_stop`) stays available and the hot loop is the
+//! sequential one. Everything below describes the `P ≥ 2` protocol.
+//!
 //! The actor graph is split across worker threads; each partition runs a
 //! private keyed calendar over the *global* actor-id space (non-owned
 //! slots stay empty). Synchronization is conservative, in the
@@ -115,11 +122,12 @@ impl Drop for PoisonOnPanic<'_> {
 
 /// One partition's build/finish hooks for [`run_partitioned`].
 ///
-/// `build` runs on the worker thread before the clock starts: reserve the
-/// global id space, install owned actors, seed initial messages (in
-/// ascending actor-id order). `finish` runs after the fleet drains, still
-/// on the worker thread, and may use [`ParOps`] for collective reductions
-/// (every partition must issue the same sequence of collectives).
+/// `build` runs on the worker thread before the clock starts (on the
+/// calling thread when there is a single worker): reserve the global id
+/// space, install owned actors, seed initial messages (in ascending
+/// actor-id order). `finish` runs after the fleet drains, on the same
+/// thread, and may use [`ParOps`] for collective reductions (every
+/// partition must issue the same sequence of collectives).
 ///
 /// `Built` carries thread-local state (e.g. `Rc` handles shared with the
 /// actors) from `build` to `finish`; it never crosses threads, so it need
@@ -139,7 +147,8 @@ pub trait PartitionWorker<M, T>: Send {
 pub struct ParOps<'a> {
     me: usize,
     slots: &'a [AtomicU64],
-    barrier: &'a PoisonBarrier,
+    /// `None` for a single-partition run: collectives are the identity.
+    barrier: Option<&'a PoisonBarrier>,
 }
 
 impl ParOps<'_> {
@@ -152,15 +161,18 @@ impl ParOps<'_> {
     /// partition must call this the same number of times, in the same
     /// order.
     pub fn allreduce_max(&self, v: u64) -> u64 {
+        let Some(barrier) = self.barrier else {
+            return v;
+        };
         self.slots[self.me].store(v, Ordering::SeqCst);
-        self.barrier.wait();
+        barrier.wait();
         let m = self
             .slots
             .iter()
             .map(|s| s.load(Ordering::SeqCst))
             .max()
             .unwrap_or(0);
-        self.barrier.wait();
+        barrier.wait();
         m
     }
 }
@@ -222,7 +234,8 @@ pub struct ParOutcome<T> {
     /// Total dispatches across all partitions (equals the sequential
     /// dispatch count for an equivalent run).
     pub dispatched: u64,
-    /// Number of lookahead windows executed.
+    /// Number of lookahead windows executed (zero for a single
+    /// partition, which runs on the sequential calendar).
     pub windows: u64,
     /// Critical-path dispatches: `Σ_w max_p dispatches(p, w)`. The
     /// virtual-parallelism analogue of wall-clock — what a `P`-core
@@ -244,14 +257,16 @@ pub struct ParOutcome<T> {
 /// Run one partitioned simulation to completion.
 ///
 /// `owners[actor_id]` names the partition owning each global actor id;
-/// `workers[p]` builds and harvests partition `p`. `lookahead` must be a
-/// positive lower bound on the virtual latency of every cross-partition
-/// send (enforced per send; violations panic).
+/// `workers[p]` builds and harvests partition `p`. With two or more
+/// workers, `lookahead` must be a positive lower bound on the virtual
+/// latency of every cross-partition send (enforced per send; violations
+/// panic). A single worker runs inline on the sequential calendar (see
+/// the module docs), where `lookahead` plays no part.
 pub fn run_partitioned<M, T, W>(
     seed: u64,
     owners: Arc<Vec<u32>>,
     lookahead: SimDuration,
-    workers: Vec<W>,
+    mut workers: Vec<W>,
 ) -> ParOutcome<T>
 where
     M: Send,
@@ -264,6 +279,27 @@ where
         owners.iter().all(|&o| (o as usize) < nparts),
         "actor owner out of partition range"
     );
+    if nparts == 1 {
+        let mut worker = workers.pop().expect("one worker");
+        let mut sim = Simulation::new(seed);
+        let built = worker.build(&mut sim);
+        sim.run();
+        let dispatched = sim.dispatched();
+        let ops = ParOps {
+            me: 0,
+            slots: &[],
+            barrier: None,
+        };
+        return ParOutcome {
+            results: vec![worker.finish(built, sim, &ops)],
+            dispatched,
+            windows: 0,
+            critical_dispatched: dispatched,
+            remote_messages: 0,
+            window_width_hist: LogHist::new(),
+            barrier_wait_hist: LogHist::new(),
+        };
+    }
     let la = lookahead.as_nanos();
     assert!(la > 0, "lookahead must be positive");
 
@@ -339,15 +375,11 @@ where
                         // Adaptive horizon (module docs): unheard-of events
                         // reach us at >= min(min_{q!=p} NT_q + L, NT_p + 2L).
                         // Never narrower than the classic [t, t+L) window.
-                        let horizon = if nparts == 1 {
-                            u64::MAX - 1
-                        } else {
-                            // bound >= t + L >= 1, so the -1 cannot wrap.
-                            peer_min
-                                .saturating_add(la)
-                                .min(nt.saturating_add(la).saturating_add(la))
-                                - 1
-                        };
+                        // bound >= t + L >= 1, so the -1 cannot wrap.
+                        let horizon = peer_min
+                            .saturating_add(la)
+                            .min(nt.saturating_add(la).saturating_add(la))
+                            - 1;
                         debug_assert!(horizon >= t, "horizon below the global minimum");
                         width_hist.record(horizon.saturating_sub(t).saturating_add(1));
                         per_window.push(sim.run_window(SimTime(horizon)));
@@ -365,7 +397,7 @@ where
                     }
                     let dispatched = sim.dispatched();
                     let remote = sim.par_remote_sent();
-                    let ops = ParOps { me: p, slots, barrier };
+                    let ops = ParOps { me: p, slots, barrier: Some(barrier) };
                     let result = worker.finish(built, sim, &ops);
                     PartOut { result, dispatched, remote, per_window, width_hist, wait_hist }
                 })
@@ -500,9 +532,72 @@ mod tests {
             if nparts > 1 {
                 assert!(stats.remote_messages > 0, "ring must cross partitions");
             } else {
+                // One worker runs on the sequential calendar: no windows.
                 assert_eq!(stats.remote_messages, 0);
+                assert_eq!(stats.windows, 0);
+                assert_eq!(stats.critical_dispatched, stats.dispatched);
+                assert_eq!(stats.window_width_hist.total(), 0);
             }
         }
+    }
+
+    #[test]
+    fn one_worker_builds_and_finishes_on_the_calling_thread() {
+        use std::thread::ThreadId;
+        struct Inline;
+        impl PartitionWorker<u32, (ThreadId, ThreadId)> for Inline {
+            type Built = ThreadId;
+            fn build(&mut self, sim: &mut Simulation<u32>) -> ThreadId {
+                sim.reserve_to(1);
+                sim.install(ActorId(0), Box::new(|_: &mut Ctx<'_, u32>, _| {}));
+                sim.seed_message(ActorId(0), SimTime(0), 0);
+                std::thread::current().id()
+            }
+            fn finish(self, built: ThreadId, _: Simulation<u32>, _: &ParOps<'_>) -> (ThreadId, ThreadId) {
+                (built, std::thread::current().id())
+            }
+        }
+        // A zero lookahead is fine: one partition never synchronizes.
+        let outcome = run_partitioned(1, Arc::new(vec![0]), SimDuration::ZERO, vec![Inline]);
+        let me = std::thread::current().id();
+        assert_eq!(outcome.results, vec![(me, me)]);
+        assert_eq!(outcome.dispatched, 1);
+    }
+
+    #[test]
+    fn one_worker_honours_request_stop() {
+        struct Stopper;
+        impl PartitionWorker<u32, u64> for Stopper {
+            type Built = ();
+            fn build(&mut self, sim: &mut Simulation<u32>) {
+                sim.reserve_to(1);
+                sim.install(
+                    ActorId(0),
+                    Box::new(|ctx: &mut Ctx<'_, u32>, hops: u32| {
+                        if hops == HOPS / 2 {
+                            ctx.request_stop();
+                        } else {
+                            let me = ctx.me();
+                            ctx.send(me, SimDuration::from_nanos(DELAY), hops - 1);
+                        }
+                    }),
+                );
+                sim.seed_message(ActorId(0), SimTime(0), HOPS);
+            }
+            fn finish(self, (): (), sim: Simulation<u32>, ops: &ParOps<'_>) -> u64 {
+                ops.allreduce_max(sim.now().as_nanos())
+            }
+        }
+        let outcome = run_partitioned(
+            1,
+            Arc::new(vec![0]),
+            SimDuration::from_nanos(LOOKAHEAD),
+            vec![Stopper],
+        );
+        // The countdown would run to zero (HOPS + 1 dispatches); the stop
+        // cuts it off at the halfway hop.
+        assert_eq!(outcome.dispatched, (HOPS - HOPS / 2) as u64 + 1);
+        assert_eq!(outcome.results, vec![(HOPS / 2) as u64 * DELAY]);
     }
 
     #[test]

@@ -69,18 +69,10 @@ fn pinned_golden_holds_at_every_thread_count() {
             0x5b5f_3e97_4813_e521
         );
 
-        // One host bounds the partition count at one, but the run still
-        // goes through the partitioned engine (windows, outbox, merge).
-        let par = out
-            .pass1
-            .par
-            .expect("eligible run uses the partitioned engine");
-        assert_eq!(par.partitions, 1);
-        assert!(par.windows > 0);
-        assert_eq!(
-            par.remote_messages, 0,
-            "single partition sends nothing remotely"
-        );
+        // One host bounds the partition count at one, which runs inline
+        // on the sequential calendar: no windows, no parallel counters.
+        assert!(out.pass1.par.is_none(), "one partition reports no par stats");
+        assert_eq!(out.pass1.par_fallback, None, "eligible, just one host");
     }
 }
 

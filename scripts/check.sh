@@ -27,6 +27,16 @@ if [ "$run1" != "$run2" ]; then
     exit 1
 fi
 echo "$run1"
+# Gated (scheduler) runs are clamped to one partition whatever the
+# thread count: the two-thread rerun of the pinned aware spec must print
+# exactly the one-thread section.
+sched_t1="$(echo "$run1" | grep '^sched\.aware\.' | grep -v '^sched\.aware\.t2\.' | sed 's/^sched\.aware\.//')"
+sched_t2="$(echo "$run1" | grep '^sched\.aware\.t2\.' | sed 's/^sched\.aware\.t2\.//')"
+if [ -z "$sched_t1" ] || [ "$sched_t1" != "$sched_t2" ]; then
+    echo "determinism gate FAILED: sched.aware.t2 differs from sched.aware" >&2
+    diff <(echo "$sched_t1") <(echo "$sched_t2") >&2 || true
+    exit 1
+fi
 
 echo "== parallel kernel gate (goldens at 1/2/4/8 threads, byte-diffed) =="
 # par_golden re-runs the frozen sequential pins of tests/golden.rs at
