@@ -32,6 +32,35 @@ fn main() {
         acc
     });
 
+    // The watershed labeler's pattern: cell t drains the messages keyed
+    // t, then forwards four to cells a mean ~825 later, which holds the
+    // frontier near 3,300 messages (the 257×257 terrain's mean). The
+    // queue persists across iterations so every timed cell sees a full
+    // frontier; ns/unit is per cell.
+    let cells_per_iter = 10_000u64;
+    let mut frontier: ExternalPq<u64, u32> = ExternalPq::new(1 << 16);
+    let mut drained = Vec::new();
+    let mut label_cell = |t: u64| {
+        drained.clear();
+        frontier.pop_all_eq(t, &mut drained);
+        for _ in 0..4 {
+            frontier.push(t + 1 + rng.gen_range(1_650), t as u32);
+        }
+        drained.len()
+    };
+    for t in 0..2_000 {
+        label_cell(t);
+    }
+    let mut t = 2_000;
+    report.bench("external_pq/frontier_interleaved", cells_per_iter, || {
+        let mut popped = 0;
+        for _ in 0..cells_per_iter {
+            popped += label_cell(t);
+            t += 1;
+        }
+        popped
+    });
+
     let grid = fractal_terrain(129, 129, 0.55, 5);
     let mut cells = lmas_gis::restructure(&grid);
     cells.sort_by_key(lmas_core::Record::key);

@@ -475,6 +475,46 @@ fn main() {
             fnv1a(out.to_json().bytes())
         );
     }
+
+    // TerraFlow section: the three-step watershed pipeline on a pinned
+    // 65×65 terrain, then step 3 alone through a labeler whose message
+    // queue buffers four items, which forces heavy spilling. Colors are
+    // a function of the terrain alone, so both FNVs must agree run to
+    // run, and the makespans pin the step-3 cost model.
+    let grid = lmas_gis::fractal_terrain(65, 65, 0.55, 6);
+    let mut tdsm = DsmConfig::new(4, 128, 4, 64);
+    tdsm.input_packet_records = 128;
+    let tf = lmas_gis::run_terraflow(
+        &ClusterConfig::era_2002(1, 2, 8.0),
+        &grid,
+        &tdsm,
+        LoadMode::Static,
+    )
+    .expect("pinned terraflow runs");
+    let (t1, t2, t3) = tf.times;
+    println!(
+        "terraflow.step1_ns {} sort_ns {} step3_ns {}",
+        t1.as_nanos(),
+        t2.as_nanos(),
+        t3.as_nanos()
+    );
+    println!("terraflow.watersheds {}", tf.watersheds);
+    println!(
+        "terraflow.colors_fnv {:016x}",
+        fnv1a(tf.colors.iter().flat_map(|c| c.to_le_bytes()))
+    );
+    let mut cells = lmas_gis::restructure(&grid);
+    cells.sort_by_key(Record::key);
+    let mut labeler = lmas_gis::WatershedLabeler::new(4);
+    let mut spilled_colors = vec![0u32; grid.len()];
+    for cell in cells {
+        let c = labeler.label(cell);
+        spilled_colors[c.y as usize * grid.width() + c.x as usize] = c.color;
+    }
+    println!(
+        "terraflow.pq4.colors_fnv {:016x}",
+        fnv1a(spilled_colors.iter().flat_map(|c| c.to_le_bytes()))
+    );
 }
 
 /// The repair scenario: source on host 0 → relay on every ASU → sink on

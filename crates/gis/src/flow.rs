@@ -31,6 +31,9 @@ struct ColorMsg {
 #[derive(Debug)]
 pub struct WatershedLabeler {
     pq: ExternalPq<u64, ColorMsg>,
+    /// Scratch for the messages addressed to the cell being labeled,
+    /// reused so labeling allocates nothing per cell.
+    msgs: Vec<ColorMsg>,
     next_color: u32,
     processed: u64,
     last_key: Option<u64>,
@@ -47,6 +50,7 @@ impl WatershedLabeler {
     pub fn new(pq_buffer: usize) -> WatershedLabeler {
         WatershedLabeler {
             pq: ExternalPq::new(pq_buffer),
+            msgs: Vec::new(),
             next_color: 0,
             processed: 0,
             last_key: None,
@@ -76,7 +80,8 @@ impl WatershedLabeler {
             "cells must arrive in sorted order (time-forward processing)"
         );
         self.last_key = Some(key);
-        let msgs = self.pq.pop_all_eq(key);
+        self.msgs.clear();
+        self.pq.pop_all_eq(key, &mut self.msgs);
         let color = match cell.flow_direction() {
             None => {
                 // Local minimum: a new watershed springs here.
@@ -90,7 +95,8 @@ impl WatershedLabeler {
                 let (dx, dy) = crate::grid::NEIGHBOR_OFFSETS[fd];
                 let nx = (cell.x as isize + dx) as u16;
                 let ny = (cell.y as isize + dy) as u16;
-                msgs.iter()
+                self.msgs
+                    .iter()
                     .find(|m| m.sender_x == nx && m.sender_y == ny)
                     .unwrap_or_else(|| {
                         panic!(
@@ -179,7 +185,9 @@ impl Functor<CellRec> for WatershedFunctor {
     fn flush(&mut self, _out: &mut Emit<CellRec>) {}
     fn cost(&self, input: &Packet<CellRec>) -> Work {
         // Per cell: 8 neighbour comparisons, a PQ pop/push round at
-        // ~log(queue) compares, one record move.
+        // ~log(queue) compares, one record move. The queue's in-memory
+        // buffer is a binary heap, so the real labeler does this work:
+        // ~log(queue) compares per message pushed or popped.
         let n = input.len() as u64;
         let pq_log = log2_ceil(self.labeler.queued_messages().max(2) as u64);
         Work::compares(n * (8 + 2 * pq_log)) + Work::moves(n)
@@ -193,6 +201,47 @@ impl Functor<CellRec> for WatershedFunctor {
 mod tests {
     use super::*;
     use crate::grid::{cone_terrain, fractal_terrain, twin_valley_terrain};
+
+    /// Watershed colors without a priority queue: every cell follows its
+    /// `flow_direction` pointers down to a local minimum, and the minima
+    /// are numbered in ascending key order. Row-major, like
+    /// [`watershed_oracle`].
+    fn descent_reference(grid: &Grid) -> Vec<u32> {
+        let cells = crate::cell::restructure(grid);
+        let w = grid.width();
+        let minimum_of = |mut i: usize| loop {
+            let c = &cells[i];
+            match c.flow_direction() {
+                None => return i,
+                Some(fd) => {
+                    let (dx, dy) = crate::grid::NEIGHBOR_OFFSETS[fd];
+                    i = (c.y as isize + dy) as usize * w + (c.x as isize + dx) as usize;
+                }
+            }
+        };
+        let minima: Vec<usize> = (0..cells.len()).map(minimum_of).collect();
+        let mut by_key: Vec<usize> = (0..cells.len()).filter(|&i| minima[i] == i).collect();
+        by_key.sort_by_key(|&i| cells[i].key());
+        let mut color = vec![u32::MAX; cells.len()];
+        for (c, &i) in by_key.iter().enumerate() {
+            color[i] = c as u32;
+        }
+        minima.iter().map(|&m| color[m]).collect()
+    }
+
+    #[test]
+    fn oracle_equals_descent_reference() {
+        let terrains = [
+            ("cone 17x17", cone_terrain(17, 17)),
+            ("twin valley 16x8", twin_valley_terrain(16, 8)),
+            ("fractal 33x33", fractal_terrain(33, 33, 0.55, 3)),
+            ("fractal 129x129", fractal_terrain(129, 129, 0.55, 5)),
+            ("F-TF 257x257", fractal_terrain(257, 257, 0.55, 13)),
+        ];
+        for (name, g) in terrains {
+            assert_eq!(watershed_oracle(&g), descent_reference(&g), "{name}");
+        }
+    }
 
     #[test]
     fn cone_is_one_watershed() {
@@ -289,8 +338,14 @@ mod tests {
         cells.sort_by_key(|c| c.key());
         let mut small = WatershedLabeler::new(4);
         let mut big = WatershedLabeler::new(1 << 20);
+        let reference = descent_reference(&g);
         for c in cells {
-            assert_eq!(small.label(c).color, big.label(c).color);
+            let labeled = small.label(c);
+            assert_eq!(labeled.color, big.label(c).color);
+            assert_eq!(
+                labeled.color,
+                reference[c.y as usize * g.width() + c.x as usize]
+            );
         }
         assert_eq!(small.colors(), big.colors());
     }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Quick wall-clock sanity pass over the kernel benches.
 #
-# Builds release, runs the kernel and simulator microbenches with a
-# reduced iteration count (override with LMAS_BENCH_ITERS), and leaves
-# the ns/unit numbers in results/BENCH_kernels.json and
-# results/BENCH_sim.json. Expected shape: radix_sort beats
+# Builds release, runs the kernel, simulator and GIS microbenches with
+# a reduced iteration count (override with LMAS_BENCH_ITERS), and leaves
+# the kernel and simulator ns/unit numbers in results/BENCH_kernels.json
+# and results/BENCH_sim.json (the GIS figures print only). Expected shape: radix_sort beats
 # comparison_sort on Rec128, packet fan-out is ~0 ns/record (O(1) Arc
 # clone, not a deep copy), and calendar schedule+pop stays within a few
 # tens of ns per event.
@@ -24,6 +24,9 @@ cargo bench -q -p lmas-bench --bench kernels
 
 echo "== simulator microbenches (LMAS_BENCH_ITERS=$LMAS_BENCH_ITERS) =="
 cargo bench -q -p lmas-bench --bench sim_micro
+
+echo "== GIS microbenches (LMAS_BENCH_ITERS=$LMAS_BENCH_ITERS) =="
+cargo bench -q -p lmas-bench --bench gis_micro
 
 echo
 echo "== $LMAS_RESULTS_DIR/BENCH_kernels.json =="
