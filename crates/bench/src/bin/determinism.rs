@@ -9,15 +9,17 @@
 
 use lmas_core::functor::lib::MapFunctor;
 use lmas_core::{
-    generate_rec128, packetize, EdgeKind, FlowGraph, Functor, KeyDist, NodeId, Placement, Rec8,
-    Record, RoutingPolicy, Work,
+    generate_rec128, packetize, EdgeKind, FlowGraph, Functor, KeyDist, NodeId, Placement, Rec128,
+    Rec8, Record, RoutingPolicy, Work,
 };
 use lmas_emulator::{
     asu_index, run_job_with_faults, BalanceSpec, ClusterConfig, EmulationReport, FaultSpec, Job,
-    RepairSpec,
+    RepairSpec, StageQueueStats, StorageSpec,
 };
 use lmas_sim::{FaultPlan, SimDuration, SimTime};
-use lmas_sort::{run_dsm_sort, run_dsm_sort_faulty, DsmConfig, LoadMode};
+use lmas_sort::{
+    adaptive_alpha, adaptive_config, run_dsm_sort, run_dsm_sort_faulty, DsmConfig, LoadMode,
+};
 use std::collections::BTreeMap;
 
 /// FNV-1a over a byte stream; stable and dependency-free.
@@ -28,6 +30,12 @@ fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+/// FNV-1a of a report's per-stage queue statistics, rendered with
+/// `Debug` (the mean depths print as shortest round-trip floats).
+fn queue_fnv(stats: &[StageQueueStats]) -> u64 {
+    fnv1a(format!("{stats:?}").bytes())
 }
 
 fn main() {
@@ -63,6 +71,10 @@ fn main() {
                 .flat_map(|u| u.to_bits().to_le_bytes()),
         );
         println!("{pass}.cpu_series_fnv {util_hash:016x}");
+        println!(
+            "queue.pinned.{pass} {:016x}",
+            queue_fnv(&report.queue_stats)
+        );
         let render = report.trace.render();
         println!(
             "{pass}.trace lines {} fnv {:016x}",
@@ -190,6 +202,7 @@ fn main() {
             report.trace.len(),
             fnv1a(report.trace.render().bytes())
         );
+        println!("queue.par.{pass} {:016x}", queue_fnv(&report.queue_stats));
     }
 
     // Faulted-parallel section: a pinned chaos plan (ASU crash +
@@ -279,6 +292,10 @@ fn main() {
             report.trace.len(),
             fnv1a(report.trace.render().bytes())
         );
+        println!(
+            "queue.parfault.{pass} {:016x}",
+            queue_fnv(&report.queue_stats)
+        );
     }
 
     // Balanced-parallel section: the snapshot balancer through the
@@ -330,6 +347,10 @@ fn main() {
             "parbal.{pass}.trace lines {} fnv {:016x}",
             report.trace.len(),
             fnv1a(report.trace.render().bytes())
+        );
+        println!(
+            "queue.parbal.{pass} {:016x}",
+            queue_fnv(&report.queue_stats)
         );
     }
 
@@ -474,6 +495,7 @@ fn main() {
             out.events.len(),
             fnv1a(out.to_json().bytes())
         );
+        println!("queue.{tag} {:016x}", queue_fnv(&out.queue_stats));
     }
 
     // TerraFlow section: the three-step watershed pipeline on a pinned
@@ -515,6 +537,59 @@ fn main() {
         "terraflow.pq4.colors_fnv {:016x}",
         fnv1a(spilled_colors.iter().flat_map(|c| c.to_le_bytes()))
     );
+
+    // Machine-model section: the adaptive configurator's picks on the
+    // Figure 9 grid (H = 1, c = 8), the c-sensitivity grid (c = 4) and
+    // the interference grid (ASU CPU background share), then the machine
+    // model the planner prices against for each pinned cluster, every
+    // f64 as raw bits. All of it is closed-form, so any drift in the
+    // model's arithmetic shows here.
+    let grid = [8.0, 4.0]
+        .into_iter()
+        .flat_map(|c| [2usize, 4, 8, 16, 32, 64].map(|d| (c, d, 0.0)))
+        .chain([0.0, 0.25, 0.5, 0.75, 0.9].map(|b| (8.0, 16, b)));
+    for (c, d, bg) in grid {
+        let cluster = ClusterConfig::era_2002(1, d, c).with_background(bg, 0.0);
+        let picks: Vec<String> = [1u64 << 18, 1 << 26]
+            .map(|n| adaptive_config::<Rec128>(&cluster, n, 4096, 16))
+            .iter()
+            .map(|cfg| format!("{} {} {}", cfg.alpha, cfg.gamma1, cfg.gamma2))
+            .collect();
+        println!(
+            "model.adaptive c{c} d{d} bg{bg} alpha {} config {}",
+            adaptive_alpha::<Rec128>(&cluster, 4096),
+            picks.join(" / ")
+        );
+    }
+    for (tag, cluster) in [
+        ("h1d2c8", ClusterConfig::era_2002(1, 2, 8.0)),
+        ("h2d4c8", ClusterConfig::era_2002(2, 4, 8.0)),
+        ("h4d4c2", ClusterConfig::era_2002(4, 4, 2.0)),
+        ("h4d8c8", ClusterConfig::era_2002(4, 8, 8.0)),
+        (
+            "h1d4c8.bg.striped4",
+            ClusterConfig::era_2002(1, 4, 8.0)
+                .with_background(0.5, 0.25)
+                .with_storage(StorageSpec::striped(4)),
+        ),
+    ] {
+        let s = cluster.shape();
+        println!(
+            "model.shape.{tag} hosts {} asus {} c {:016x} cost {:016x} {:016x} {:016x} \
+             asu_disk {:016x} host_disk {:016x} link {:016x} latency {:016x} asu_mem {}",
+            s.hosts,
+            s.asus,
+            s.cpu_ratio_c.to_bits(),
+            s.cost.ns_per_compare.to_bits(),
+            s.cost.ns_per_record_move.to_bits(),
+            s.cost.ns_per_byte.to_bits(),
+            s.asu_disk_rate.to_bits(),
+            s.host_disk_rate.to_bits(),
+            s.link_rate.to_bits(),
+            s.link_latency_ns.to_bits(),
+            s.asu_mem
+        );
+    }
 }
 
 /// The repair scenario: source on host 0 → relay on every ASU → sink on

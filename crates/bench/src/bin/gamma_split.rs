@@ -77,8 +77,11 @@ fn main() {
     }
     println!("best split: γ1={} γ2={} ({:.4}s)", best.0, best.1, best.2);
 
-    let model = cluster.pipeline_model(Rec128::SIZE);
-    let (mg1, mg2) = model.pick_gamma_split_bounded(gamma_total as u64, gamma_total as u64);
+    let (mg1, mg2) = cluster.shape().pick_gamma_split_bounded(
+        gamma_total as u64,
+        gamma_total as u64,
+        Rec128::SIZE,
+    );
     println!("model pick:  γ1={mg1} γ2={mg2}");
     write_results("gamma_split.csv", &csv);
 }

@@ -1,39 +1,101 @@
-//! Model-driven adaptation: choosing functor parameters to balance load.
+//! The cluster machine model and model-driven adaptation.
+//!
+//! [`ClusterShape`] is the one description of the asymmetric cluster the
+//! paper evaluates against: H hosts, D ASUs at `1/c` of host CPU speed,
+//! disk and link rates, and ASU memory. The emulator's `ClusterConfig`
+//! projects onto it (`ClusterConfig::shape`), the planner prices
+//! placements against it, and this module's rate model picks functor
+//! parameters from it.
 //!
 //! Section 3.3: "it is often possible to configure functors to adjust the
 //! balance of computation load across the phases of an application …
 //! the fan-in of merge functors and the fan-out of distribution functors
 //! may vary to adjust the balance of load between sort pipeline phases
-//! executing on ASUs and hosts." This module is that configurator: an
-//! analytic pipeline-rate model over the cluster parameters (H, D, c,
-//! disk and link rates) that predicts phase throughputs and picks the
-//! distribute order α (and the merge split γ₁·γ₂) that maximizes them.
+//! executing on ASUs and hosts." The rate methods are that configurator:
+//! an analytic pipeline-rate model over (H, D, c, disk and link rates)
+//! that predicts phase throughputs and picks the distribute order α (and
+//! the merge split γ₁·γ₂) that maximizes them.
 //!
 //! The *adaptive* series in Figure 9 is exactly `pick_alpha` evaluated at
 //! each cluster size.
 
 use crate::cost::{log2_ceil, CostModel, Work};
+use crate::placement::NodeId;
+use lmas_storage::DiskParams;
 
-/// Cluster-rate model for pipeline-phase prediction.
+/// The cluster machine model: what the planner optimizes against and
+/// what the adaptive configurator picks α and the γ split from.
 #[derive(Debug, Clone, Copy)]
-pub struct PipelineModel {
-    /// Cost model converting work to time.
-    pub cost: CostModel,
-    /// Number of hosts, H.
+pub struct ClusterShape {
+    /// Number of dedicated hosts, H.
     pub hosts: usize,
-    /// Number of ASUs, D.
+    /// Number of active storage units, D.
     pub asus: usize,
-    /// Host-to-ASU CPU ratio, c (ASU speed = 1/c).
+    /// Host-to-ASU CPU speed ratio c (an ASU runs at 1/c).
     pub cpu_ratio_c: f64,
-    /// Per-ASU disk rate, bytes/sec.
-    pub disk_rate: f64,
-    /// Per-link (host↔ASU) bandwidth, bytes/sec.
+    /// Work → time conversion.
+    pub cost: CostModel,
+    /// Aggregate disk bandwidth per ASU brick, bytes/sec.
+    pub asu_disk_rate: f64,
+    /// Disk bandwidth of a host's private disk, bytes/sec.
+    pub host_disk_rate: f64,
+    /// Host↔ASU link bandwidth, bytes/sec.
     pub link_rate: f64,
-    /// Record size in bytes.
-    pub record_size: usize,
+    /// One-way link latency in nanoseconds.
+    pub link_latency_ns: f64,
+    /// Memory available for functor state on an ASU, bytes.
+    pub asu_mem: usize,
 }
 
-impl PipelineModel {
+impl ClusterShape {
+    /// The paper-era cluster: gigabit links at 50 µs, 100 MB/s disk
+    /// bricks ([`DiskParams::asu_brick_2002`]), 32 MiB of ASU functor
+    /// memory. The emulator's `ClusterConfig::era_2002(hosts, asus, c)`
+    /// takes its constants from here.
+    pub fn era_2002(hosts: usize, asus: usize, cpu_ratio_c: f64) -> ClusterShape {
+        let brick = DiskParams::asu_brick_2002().rate_bytes_per_sec;
+        ClusterShape {
+            hosts,
+            asus,
+            cpu_ratio_c,
+            cost: CostModel::p3_750mhz(),
+            asu_disk_rate: brick,
+            host_disk_rate: brick,
+            link_rate: 1.0e9,
+            link_latency_ns: 50_000.0,
+            asu_mem: 32 << 20,
+        }
+    }
+
+    /// All nodes in planner order: hosts first, then ASUs.
+    pub fn nodes(&self) -> Vec<NodeId> {
+        (0..self.hosts)
+            .map(NodeId::Host)
+            .chain((0..self.asus).map(NodeId::Asu))
+            .collect()
+    }
+
+    /// Total node count.
+    pub fn total_nodes(&self) -> usize {
+        self.hosts + self.asus
+    }
+
+    /// Relative CPU speed of `node` (host = 1.0).
+    pub fn node_speed(&self, node: NodeId) -> f64 {
+        match node {
+            NodeId::Host(_) => 1.0,
+            NodeId::Asu(_) => 1.0 / self.cpu_ratio_c,
+        }
+    }
+
+    /// Disk bandwidth local to `node`, bytes/sec.
+    pub fn disk_rate(&self, node: NodeId) -> f64 {
+        match node {
+            NodeId::Host(_) => self.host_disk_rate,
+            NodeId::Asu(_) => self.asu_disk_rate,
+        }
+    }
+
     fn cpu_rate(&self, per_record: Work, aggregate_speed: f64) -> f64 {
         // Records/sec a CPU pool of total relative speed `aggregate_speed`
         // sustains for `per_record` work each.
@@ -45,54 +107,45 @@ impl PipelineModel {
         }
     }
 
-    fn asu_speed(&self) -> f64 {
+    /// Total relative CPU speed of the ASU pool.
+    fn asu_pool_speed(&self) -> f64 {
         self.asus as f64 / self.cpu_ratio_c
     }
 
-    fn disk_records_rate(&self) -> f64 {
-        self.asus as f64 * self.disk_rate / self.record_size as f64
+    fn disk_records_rate(&self, record_size: usize) -> f64 {
+        self.asus as f64 * self.asu_disk_rate / record_size as f64
     }
 
-    fn per_record(&self, compares_per_record: u64) -> Work {
-        // Every record passing a functor pays its compares plus fixed
-        // handling: one buffer move and a touch of all its bytes.
-        Work::compares(compares_per_record)
-            + Work::moves(1)
-            + Work::bytes(self.record_size as u64)
-    }
-
-    /// Records/sec of DSM-Sort pass 1 (run formation) with the distribute
-    /// functor on the ASUs and block sort on the hosts: the minimum of the
-    /// ASU read rate, ASU distribute rate, host sort rate, link rate, and
-    /// ASU write-back rate.
-    pub fn pass1_rate_active(&self, alpha: u64, beta: u64) -> f64 {
-        let read = self.disk_records_rate();
-        let write = self.disk_records_rate();
-        let distribute = self.cpu_rate(self.per_record(log2_ceil(alpha)), self.asu_speed());
-        let sort = self.cpu_rate(self.per_record(log2_ceil(beta)), self.hosts as f64);
+    fn link_records_rate(&self, record_size: usize) -> f64 {
         // Every record crosses host links twice (to the host and back);
         // hosts each have one link.
-        let link = self.hosts as f64 * self.link_rate / (2.0 * self.record_size as f64);
+        self.hosts as f64 * self.link_rate / (2.0 * record_size as f64)
+    }
+
+    fn per_record(compares_per_record: u64, record_size: usize) -> Work {
+        // Every record passing a functor pays its compares plus fixed
+        // handling: one buffer move and a touch of all its bytes.
+        Work::compares(compares_per_record) + Work::moves(1) + Work::bytes(record_size as u64)
+    }
+
+    /// Records/sec of DSM-Sort pass 1 (run formation) over records of
+    /// `record_size` bytes, with the distribute functor on the ASUs and
+    /// block sort on the hosts: the minimum of the ASU read rate, ASU
+    /// distribute rate, host sort rate, link rate, and ASU write-back
+    /// rate.
+    pub fn pass1_rate_active(&self, alpha: u64, beta: u64, record_size: usize) -> f64 {
+        let read = self.disk_records_rate(record_size);
+        let write = self.disk_records_rate(record_size);
+        let distribute = self.cpu_rate(
+            Self::per_record(log2_ceil(alpha), record_size),
+            self.asu_pool_speed(),
+        );
+        let sort = self.cpu_rate(
+            Self::per_record(log2_ceil(beta), record_size),
+            self.hosts as f64,
+        );
+        let link = self.link_records_rate(record_size);
         read.min(write).min(distribute).min(sort).min(link)
-    }
-
-    /// Records/sec of pass 1 on conventional (passive) storage: the ASUs
-    /// only stream raw blocks; the hosts run a *fused* distribute+sort
-    /// (one streaming pass paying `log α + log β` compares but a single
-    /// per-record handling charge, as a real single-host sort would).
-    pub fn pass1_rate_baseline(&self, alpha: u64, beta: u64) -> f64 {
-        let read = self.disk_records_rate();
-        let write = self.disk_records_rate();
-        let host_work = self.per_record(log2_ceil(alpha) + log2_ceil(beta));
-        let host = self.cpu_rate(host_work, self.hosts as f64);
-        let link = self.hosts as f64 * self.link_rate / (2.0 * self.record_size as f64);
-        read.min(write).min(host).min(link)
-    }
-
-    /// Predicted pass-1 speedup of the active configuration over the
-    /// passive baseline at the same (α, β).
-    pub fn predicted_speedup(&self, alpha: u64, beta: u64) -> f64 {
-        self.pass1_rate_active(alpha, beta) / self.pass1_rate_baseline(alpha, beta)
     }
 
     /// Choose α among `candidates` maximizing predicted active pass-1
@@ -100,12 +153,12 @@ impl PipelineModel {
     /// absorbs the distribute for free, a higher distribute order shrinks
     /// the bucket sizes and with them the downstream merge fan-in
     /// (`αβγ = n`), reducing second-pass work at no first-pass cost.
-    pub fn pick_alpha(&self, candidates: &[u64], beta: u64) -> u64 {
+    pub fn pick_alpha(&self, candidates: &[u64], beta: u64, record_size: usize) -> u64 {
         assert!(!candidates.is_empty(), "need candidate α values");
         let mut best = candidates[0];
         let mut best_rate = f64::NEG_INFINITY;
         for &a in candidates {
-            let r = self.pass1_rate_active(a, beta);
+            let r = self.pass1_rate_active(a, beta, record_size);
             let better = r > best_rate * (1.0 + 1e-9);
             let tied = !better && r > best_rate * (1.0 - 1e-9);
             if better || (tied && a > best) {
@@ -116,33 +169,19 @@ impl PipelineModel {
         best
     }
 
-    /// Choose α minimizing the predicted *total* two-pass sort time for
-    /// `n` records: pass 1 at `pass1_rate_active`, pass 2 at the best
-    /// γ-split merge rate for `γ = ⌈n / (α·β)⌉`.
-    pub fn pick_alpha_two_pass(&self, candidates: &[u64], beta: u64, n: u64) -> u64 {
-        assert!(!candidates.is_empty(), "need candidate α values");
-        let mut best = candidates[0];
-        let mut best_time = f64::INFINITY;
-        for &a in candidates {
-            let gamma = n.div_ceil(a * beta).max(1);
-            let (g1, g2) = self.pick_gamma_split(gamma);
-            let t = n as f64 / self.pass1_rate_active(a, beta)
-                + n as f64 / self.merge_rate(g1, g2);
-            if t < best_time - 1e-9 {
-                best = a;
-                best_time = t;
-            }
-        }
-        best
-    }
-
-    /// Records/sec of the merge pass with γ₁-way merges on ASUs feeding a
-    /// γ₂-way merge on hosts.
-    pub fn merge_rate(&self, gamma1: u64, gamma2: u64) -> f64 {
-        let read = self.disk_records_rate();
-        let asu = self.cpu_rate(self.per_record(log2_ceil(gamma1)), self.asu_speed());
-        let host = self.cpu_rate(self.per_record(log2_ceil(gamma2)), self.hosts as f64);
-        let link = self.hosts as f64 * self.link_rate / (2.0 * self.record_size as f64);
+    /// Records/sec of the merge pass over records of `record_size` bytes
+    /// with γ₁-way merges on ASUs feeding a γ₂-way merge on hosts.
+    pub fn merge_rate(&self, gamma1: u64, gamma2: u64, record_size: usize) -> f64 {
+        let read = self.disk_records_rate(record_size);
+        let asu = self.cpu_rate(
+            Self::per_record(log2_ceil(gamma1), record_size),
+            self.asu_pool_speed(),
+        );
+        let host = self.cpu_rate(
+            Self::per_record(log2_ceil(gamma2), record_size),
+            self.hosts as f64,
+        );
+        let link = self.link_records_rate(record_size);
         read.min(asu).min(host).min(link)
     }
 
@@ -150,7 +189,12 @@ impl PipelineModel {
     /// throughput, subject to `max_gamma1`: "the ASU buffer space
     /// restricts γ" (Section 4.3) — an ASU can hold at most `max_gamma1`
     /// run buffers. γ₁ candidates are powers of two.
-    pub fn pick_gamma_split_bounded(&self, gamma: u64, max_gamma1: u64) -> (u64, u64) {
+    pub fn pick_gamma_split_bounded(
+        &self,
+        gamma: u64,
+        max_gamma1: u64,
+        record_size: usize,
+    ) -> (u64, u64) {
         assert!(gamma >= 1, "γ must be at least 1");
         assert!(max_gamma1 >= 1, "ASU must buffer at least one run");
         if gamma == 1 {
@@ -161,7 +205,7 @@ impl PipelineModel {
         let mut g1 = 1u64;
         while g1 <= gamma.min(max_gamma1) {
             let g2 = gamma.div_ceil(g1);
-            let r = self.merge_rate(g1, g2);
+            let r = self.merge_rate(g1, g2, record_size);
             if r > best_rate + 1e-9 {
                 best = (g1, g2);
                 best_rate = r;
@@ -170,28 +214,29 @@ impl PipelineModel {
         }
         best
     }
-
-    /// [`PipelineModel::pick_gamma_split_bounded`] with a generous default
-    /// ASU buffer of 64 runs.
-    pub fn pick_gamma_split(&self, gamma: u64) -> (u64, u64) {
-        self.pick_gamma_split_bounded(gamma, 64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn model(hosts: usize, asus: usize, c: f64) -> PipelineModel {
-        PipelineModel {
-            cost: CostModel::p3_750mhz(),
-            hosts,
-            asus,
-            cpu_ratio_c: c,
-            disk_rate: 25.0e6,
-            link_rate: 1.0e9,
-            record_size: 128,
+    /// The era-2002 cluster with 25 MB/s single-spindle ASUs.
+    fn model(hosts: usize, asus: usize, c: f64) -> ClusterShape {
+        ClusterShape {
+            asu_disk_rate: 25.0e6,
+            ..ClusterShape::era_2002(hosts, asus, c)
         }
+    }
+
+    #[test]
+    fn shape_rates_and_speeds() {
+        let shape = ClusterShape::era_2002(2, 4, 8.0);
+        assert_eq!(shape.total_nodes(), 6);
+        assert_eq!(shape.node_speed(NodeId::Host(0)), 1.0);
+        assert_eq!(shape.node_speed(NodeId::Asu(1)), 0.125);
+        assert_eq!(shape.nodes()[0], NodeId::Host(0));
+        assert_eq!(shape.nodes()[2], NodeId::Asu(0));
+        assert_eq!(shape.disk_rate(NodeId::Asu(0)), 100.0e6);
     }
 
     #[test]
@@ -200,11 +245,11 @@ mod tests {
         // adaptation must back off from the big orders (it may keep a
         // moderate α that the ASUs absorb behind the disk rate for free).
         let m = model(1, 2, 8.0);
-        let a = m.pick_alpha(&[1, 4, 16, 64, 256], 1 << 13);
+        let a = m.pick_alpha(&[1, 4, 16, 64, 256], 1 << 13, 128);
         assert!(a < 64, "picked α={a}");
         // And the rate at the pick is no worse than at α=1.
-        let r_pick = m.pass1_rate_active(a, 1 << 13);
-        let r_one = m.pass1_rate_active(1, 1 << 13);
+        let r_pick = m.pass1_rate_active(a, 1 << 13, 128);
+        let r_one = m.pass1_rate_active(1, 1 << 13, 128);
         assert!(r_pick >= r_one * (1.0 - 1e-9));
     }
 
@@ -213,48 +258,14 @@ mod tests {
         // With 64 ASUs the host sort saturates first; shifting work into
         // the distribute (large α) costs the ASUs nothing they notice.
         let m = model(1, 64, 8.0);
-        let a = m.pick_alpha(&[1, 4, 16, 64, 256], 1 << 13);
+        let a = m.pick_alpha(&[1, 4, 16, 64, 256], 1 << 13, 128);
         assert_eq!(a, 256);
-    }
-
-    #[test]
-    fn speedup_below_one_when_asus_bottleneck() {
-        let m = model(1, 2, 8.0);
-        assert!(m.predicted_speedup(256, 1 << 13) < 1.0);
-    }
-
-    #[test]
-    fn speedup_above_one_with_many_asus() {
-        let m = model(1, 64, 8.0);
-        let s = m.predicted_speedup(256, 1 << 13);
-        assert!(s > 1.3, "predicted speedup {s}");
-    }
-
-    #[test]
-    fn speedup_monotone_in_asus_for_fixed_alpha() {
-        let beta = 1 << 13;
-        let mut prev = 0.0;
-        for d in [2, 4, 8, 16, 32, 64] {
-            let s = model(1, d, 8.0).predicted_speedup(64, beta);
-            assert!(s >= prev - 1e-9, "speedup should not decline with D");
-            prev = s;
-        }
-    }
-
-    #[test]
-    fn c4_beats_c8_at_same_geometry() {
-        // Pick a point where the ASU distribute binds (few ASUs, big α):
-        // halving c doubles the distribute rate and the speedup.
-        let beta = 1 << 13;
-        let s4 = model(1, 2, 4.0).predicted_speedup(256, beta);
-        let s8 = model(1, 2, 8.0).predicted_speedup(256, beta);
-        assert!(s4 > s8, "faster ASUs must help: c4={s4} c8={s8}");
     }
 
     #[test]
     fn gamma_split_respects_asu_buffer_bound() {
         let m = model(1, 16, 8.0);
-        let (g1, g2) = m.pick_gamma_split_bounded(64, 8);
+        let (g1, g2) = m.pick_gamma_split_bounded(64, 8, 128);
         assert!(g1 * g2 >= 64);
         assert!(g1 <= 8, "ASU buffer bound violated: γ1={g1}");
     }
@@ -264,34 +275,15 @@ mod tests {
         // Splitting the merge across ASUs and host should never be slower
         // than doing all fan-in on the host.
         let m = model(1, 16, 8.0);
-        let (g1, g2) = m.pick_gamma_split_bounded(64, 8);
-        assert!(m.merge_rate(g1, g2) >= m.merge_rate(1, 64) * (1.0 - 1e-9));
+        let (g1, g2) = m.pick_gamma_split_bounded(64, 8, 128);
+        assert!(m.merge_rate(g1, g2, 128) >= m.merge_rate(1, 64, 128) * (1.0 - 1e-9));
     }
 
     #[test]
     fn gamma_split_degenerate() {
         let m = model(1, 4, 8.0);
-        assert_eq!(m.pick_gamma_split(1), (1, 1));
-        let (g1, g2) = m.pick_gamma_split(2);
+        assert_eq!(m.pick_gamma_split_bounded(1, 64, 128), (1, 1));
+        let (g1, g2) = m.pick_gamma_split_bounded(2, 64, 128);
         assert!(g1 * g2 >= 2);
-    }
-
-    #[test]
-    fn two_pass_alpha_accounts_for_merge() {
-        // For a large n, α=1 forces a huge merge fan-in; the two-pass
-        // chooser should prefer a larger α than 1.
-        let m = model(1, 16, 8.0);
-        let beta = 1 << 13;
-        let n = 1u64 << 24;
-        let a = m.pick_alpha_two_pass(&[1, 4, 16, 64, 256], beta, n);
-        assert!(a > 1, "two-pass pick was α={a}");
-    }
-
-    #[test]
-    fn baseline_unaffected_by_asu_count_once_host_bound() {
-        let beta = 1 << 13;
-        let r16 = model(1, 16, 8.0).pass1_rate_baseline(64, beta);
-        let r64 = model(1, 64, 8.0).pass1_rate_baseline(64, beta);
-        assert!((r16 - r64).abs() < 1e-6, "host-bound baseline rate");
     }
 }

@@ -20,8 +20,10 @@
 //! - [`placement`]: the functor-instance → node assignment, validated
 //!   against ASU memory bounds and functor eligibility;
 //! - [`cost`]: work vectors and the calibrated cost model;
-//! - [`adapt`]: the analytic pipeline model that picks α and the γ split
-//!   to balance phases (the "adaptive" series of Figure 9).
+//! - [`adapt`]: the cluster machine model ([`ClusterShape`]: H, D, c,
+//!   disk and link rates) and the analytic pipeline model on it that
+//!   picks α and the γ split to balance phases (the "adaptive" series of
+//!   Figure 9).
 //!
 //! Execution lives in `lmas-emulator`, which compiles a
 //! ([`FlowGraph`], [`Placement`]) pair onto an emulated cluster.
@@ -38,7 +40,7 @@ pub mod placement;
 pub mod record;
 pub mod routing;
 
-pub use adapt::PipelineModel;
+pub use adapt::ClusterShape;
 pub use container::{packetize, ArrayC, Packet, PacketTicket, SetC, StreamC};
 pub use cost::{log2_ceil, CostModel, Work};
 pub use functor::{Emit, Functor, FunctorKind};

@@ -16,7 +16,7 @@
 //! [`run_job_with_faults`](crate::run_job_with_faults).
 
 use crate::balance::BalanceSpec;
-use lmas_core::CostModel;
+use lmas_core::{ClusterShape, CostModel, NodeId};
 use lmas_sim::SimDuration;
 use lmas_storage::{DiskParams, StorageSpec};
 
@@ -88,19 +88,21 @@ impl ClusterConfig {
         assert!(hosts > 0, "need at least one host");
         assert!(asus > 0, "need at least one ASU");
         assert!(cpu_ratio_c >= 1.0, "ASUs are not faster than hosts");
+        // Cost model, links and ASU memory come from the era-2002 machine
+        // model: a gigabit-class SAN per node, fast enough that CPUs, not
+        // links, saturate (the paper's stated network assumption).
+        let era = ClusterShape::era_2002(hosts, asus, cpu_ratio_c);
         ClusterConfig {
             hosts,
             asus,
             cpu_ratio_c,
-            cost: CostModel::p3_750mhz(),
+            cost: era.cost,
             disk: DiskParams::asu_brick_2002(),
             storage: StorageSpec::default(),
-            // Gigabit-class SAN per node; fast enough that CPUs, not
-            // links, saturate (the paper's stated network assumption).
-            link_bytes_per_sec: 1.0e9,
-            link_latency: SimDuration::from_micros(50),
+            link_bytes_per_sec: era.link_rate,
+            link_latency: SimDuration::from_nanos(era.link_latency_ns as u64),
             nic_frame_overhead_bytes: 0,
-            asu_mem_bytes: 32 << 20,
+            asu_mem_bytes: era.asu_mem,
             host_mem_bytes: 512 << 20,
             util_bin: SimDuration::from_millis(100),
             seed: 0x1A5,
@@ -183,21 +185,34 @@ impl ClusterConfig {
         self.hosts + self.asus
     }
 
-    /// The analytic pipeline model for this cluster (drives adaptation).
-    /// Background interference is folded into the effective CPU ratio and
-    /// disk rate, so the configurator adapts to shared-ASU conditions.
-    pub fn pipeline_model(&self, record_size: usize) -> lmas_core::PipelineModel {
-        lmas_core::PipelineModel {
-            cost: self.cost,
+    /// Relative CPU speed of node `id` (host = 1.0, ASU = `1/c`
+    /// derated by the background CPU share). The one formula both the
+    /// node resources and the routers' capacity weights use.
+    pub fn node_speed(&self, id: NodeId) -> f64 {
+        match id {
+            NodeId::Host(_) => self.host_speed(),
+            NodeId::Asu(_) => self.asu_speed() * (1.0 - self.background_asu_cpu),
+        }
+    }
+
+    /// This cluster as the machine model the planner and the adaptive
+    /// configurator price against. Background interference is folded
+    /// into the effective CPU ratio and the ASU disk rate, and an ASU's
+    /// disk rate aggregates its spindles, so both adapt to shared,
+    /// striped bricks.
+    pub fn shape(&self) -> ClusterShape {
+        ClusterShape {
             hosts: self.hosts,
             asus: self.asus,
             cpu_ratio_c: self.effective_cpu_ratio(),
-            // Aggregate ASU bandwidth: per-spindle rate × spindles.
-            disk_rate: self.disk.rate_bytes_per_sec
+            cost: self.cost,
+            asu_disk_rate: self.disk.rate_bytes_per_sec
                 * (1.0 - self.background_asu_disk)
                 * self.storage.disks as f64,
+            host_disk_rate: self.disk.rate_bytes_per_sec,
             link_rate: self.link_bytes_per_sec,
-            record_size,
+            link_latency_ns: self.link_latency.as_nanos() as f64,
+            asu_mem: self.asu_mem_bytes,
         }
     }
 }
@@ -215,25 +230,68 @@ mod tests {
         assert!(c.link_bytes_per_sec > c.disk.rate_bytes_per_sec);
     }
 
+    /// Every field of `ClusterShape`, f64s as raw bits.
+    fn shape_bits(s: &ClusterShape) -> [u64; 11] {
+        [
+            s.hosts as u64,
+            s.asus as u64,
+            s.cpu_ratio_c.to_bits(),
+            s.cost.ns_per_compare.to_bits(),
+            s.cost.ns_per_record_move.to_bits(),
+            s.cost.ns_per_byte.to_bits(),
+            s.asu_disk_rate.to_bits(),
+            s.host_disk_rate.to_bits(),
+            s.link_rate.to_bits(),
+            s.link_latency_ns.to_bits(),
+            s.asu_mem as u64,
+        ]
+    }
+
     #[test]
-    fn pipeline_model_mirrors_config() {
-        let c = ClusterConfig::era_2002(1, 4, 4.0);
-        let m = c.pipeline_model(128);
-        assert_eq!(m.hosts, 1);
-        assert_eq!(m.asus, 4);
-        assert_eq!(m.record_size, 128);
-        assert!((m.cpu_ratio_c - 4.0).abs() < 1e-12);
+    fn era_config_projects_to_era_shape() {
+        for (h, d, c) in [
+            (1, 2, 8.0),
+            (2, 4, 8.0),
+            (1, 64, 4.0),
+            (4, 4, 2.0),
+            (64, 192, 8.0),
+        ] {
+            let shape = ClusterConfig::era_2002(h, d, c).shape();
+            assert_eq!(
+                shape_bits(&shape),
+                shape_bits(&ClusterShape::era_2002(h, d, c)),
+                "H={h} D={d} c={c}"
+            );
+        }
+    }
+
+    #[test]
+    fn shape_folds_background_and_spindles() {
+        let c = ClusterConfig::era_2002(1, 4, 8.0)
+            .with_background(0.5, 0.25)
+            .with_storage(StorageSpec::striped(4));
+        let expected = ClusterShape {
+            hosts: 1,
+            asus: 4,
+            cpu_ratio_c: 16.0,
+            cost: CostModel::p3_750mhz(),
+            asu_disk_rate: 300.0e6,
+            host_disk_rate: 100.0e6,
+            link_rate: 1.0e9,
+            link_latency_ns: 50_000.0,
+            asu_mem: 32 << 20,
+        };
+        assert_eq!(shape_bits(&c.shape()), shape_bits(&expected));
     }
 
     #[test]
     fn background_interference_derates_asus_only() {
         let c = ClusterConfig::era_2002(1, 4, 8.0).with_background(0.5, 0.25);
         assert!((c.effective_cpu_ratio() - 16.0).abs() < 1e-12);
-        let m = c.pipeline_model(128);
-        assert!((m.cpu_ratio_c - 16.0).abs() < 1e-12);
-        assert!((m.disk_rate - 75.0e6).abs() < 1.0);
         // Hosts unaffected.
         assert_eq!(c.host_speed(), 1.0);
+        assert_eq!(c.node_speed(NodeId::Host(0)), 1.0);
+        assert_eq!(c.node_speed(NodeId::Asu(3)), 0.125 * 0.5);
     }
 
     #[test]

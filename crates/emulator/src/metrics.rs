@@ -13,84 +13,27 @@ use lmas_core::{Packet, Record, Work};
 use lmas_sim::{SimTime, Trace};
 use std::collections::BTreeMap;
 
-/// Per-stage backlog gauge with time-weighted statistics.
+/// Per-stage backlog gauge.
 ///
 /// The routers read the instantaneous per-instance depths to make
-/// load-aware picks; every mutation is stamped with the virtual instant
-/// it happens at, so the gauge also integrates depth over time. That
-/// yields the *time-weighted mean* queue depth — the signal the runtime
-/// balancer samples and the run report surfaces next to utilization —
-/// using pure integer arithmetic (a `u128` record·nanosecond integral)
-/// so reports are bit-reproducible.
+/// load-aware picks. Every mutation is also recorded as an op stamped
+/// with its virtual instant and the dispatch key of the event that made
+/// it, and [`StageGauge::stats`] replays the ops after the run to
+/// integrate depth over time. That yields the *time-weighted mean* queue
+/// depth the run report surfaces next to utilization, using pure integer
+/// arithmetic (a `u128` record·nanosecond integral) so reports are
+/// bit-reproducible.
+///
+/// A partitioned run keeps one gauge per stage on every partition. Each
+/// sees only its own mutations, so `depths()` is the stage's backlog only
+/// at `P = 1`; with more partitions no router reads it (backlog-sensitive
+/// routing runs on one partition). The replay merges every partition's
+/// ops in `(time, dispatch key)` order — the engine's total dispatch
+/// order — so the statistics are identical however the run was split.
 #[derive(Debug, Clone)]
 pub struct StageGauge {
     depth: Vec<u64>,
-    last: Vec<SimTime>,
-    integral: Vec<u128>,
-    peak: Vec<u64>,
-}
-
-impl StageGauge {
-    /// A gauge over `n` instances, all empty at time zero.
-    pub fn new(n: usize) -> StageGauge {
-        StageGauge {
-            depth: vec![0; n],
-            last: vec![SimTime::ZERO; n],
-            integral: vec![0; n],
-            peak: vec![0; n],
-        }
-    }
-
-    /// Accumulate depth·time up to `now` for instance `i`.
-    fn advance(&mut self, i: usize, now: SimTime) {
-        let dt = now.saturating_since(self.last[i]).as_nanos();
-        self.integral[i] += self.depth[i] as u128 * dt as u128;
-        self.last[i] = self.last[i].max(now);
-    }
-
-    /// Records were routed to instance `i` at `now`.
-    pub fn add(&mut self, i: usize, records: u64, now: SimTime) {
-        self.advance(i, now);
-        self.depth[i] += records;
-        self.peak[i] = self.peak[i].max(self.depth[i]);
-    }
-
-    /// Instance `i` started (or lost) records at `now`.
-    pub fn sub(&mut self, i: usize, records: u64, now: SimTime) {
-        self.advance(i, now);
-        self.depth[i] = self.depth[i].saturating_sub(records);
-    }
-
-    /// Instance `i`'s queue vanished at `now` (node crash).
-    pub fn clear(&mut self, i: usize, now: SimTime) {
-        self.advance(i, now);
-        self.depth[i] = 0;
-    }
-
-    /// Instantaneous per-instance depths (what the routers consult).
-    pub fn depths(&self) -> &[u64] {
-        &self.depth
-    }
-
-    /// Per-instance statistics over the horizon `[0, end]`.
-    pub fn stats(&self, end: SimTime) -> Vec<QueueStat> {
-        let horizon = end.as_nanos();
-        (0..self.depth.len())
-            .map(|i| {
-                let tail = end.saturating_since(self.last[i]).as_nanos();
-                let area = self.integral[i] + self.depth[i] as u128 * tail as u128;
-                QueueStat {
-                    mean_depth: if horizon > 0 {
-                        area as f64 / horizon as f64
-                    } else {
-                        0.0
-                    },
-                    peak_depth: self.peak[i],
-                    final_depth: self.depth[i],
-                }
-            })
-            .collect()
-    }
+    ops: Vec<GaugeOp>,
 }
 
 /// What a recorded gauge mutation does on replay.
@@ -104,98 +47,117 @@ enum GaugeOpKind {
     Clear,
 }
 
-/// One recorded gauge mutation (see [`GaugeJournal`]).
+/// One recorded gauge mutation.
 #[derive(Debug, Clone, Copy)]
 struct GaugeOp {
     at: SimTime,
     /// Dispatch ordering key `(sched, packed)` of the event that caused
-    /// the mutation ([`lmas_sim::Ctx::par_key`]).
+    /// the mutation ([`lmas_sim::Ctx::par_key`]; `(0, 0)` on the
+    /// sequential calendar, whose ops are already in dispatch order).
     key: (u64, u64),
-    inst: usize,
-    kind: GaugeOpKind,
     records: u64,
+    inst: u32,
+    kind: GaugeOpKind,
 }
 
-/// Deferred [`StageGauge`]: partitioned runs record gauge mutations with
-/// their dispatch keys instead of mutating a shared gauge, then
-/// [`GaugeJournal::replay`] merges the per-partition journals in exact
-/// sequential dispatch order. `depths()` returns all-zero backlogs — the
-/// partitioned runtime only engages for routing policies that never read
-/// the backlog, so the zeros are placeholders for slice arithmetic, not
-/// a signal.
-#[derive(Debug, Clone)]
-pub struct GaugeJournal {
-    zeros: Vec<u64>,
-    ops: Vec<GaugeOp>,
-}
-
-impl GaugeJournal {
-    /// A journal for a stage of `n` instances.
-    pub fn new(n: usize) -> GaugeJournal {
-        GaugeJournal {
-            zeros: vec![0; n],
+impl StageGauge {
+    /// A gauge over `n` instances, all empty at time zero.
+    pub fn new(n: usize) -> StageGauge {
+        assert!(
+            u32::try_from(n).is_ok(),
+            "gauge instance count must fit u32"
+        );
+        StageGauge {
+            depth: vec![0; n],
             ops: Vec::new(),
         }
     }
 
-    /// Records were routed to instance `i` at `now`.
-    pub fn add(&mut self, i: usize, records: u64, now: SimTime, key: (u64, u64)) {
+    /// Log one op. Callers index `depth[i]` first, so `i < n ≤ u32::MAX`.
+    fn record(&mut self, i: usize, kind: GaugeOpKind, records: u64, at: SimTime, key: (u64, u64)) {
         self.ops.push(GaugeOp {
-            at: now,
+            at,
             key,
-            inst: i,
-            kind: GaugeOpKind::Add,
             records,
+            inst: i as u32,
+            kind,
         });
     }
 
-    /// Instance `i` started records at `now`.
+    /// Records were routed to instance `i` at `now` by the event with
+    /// dispatch key `key`.
+    pub fn add(&mut self, i: usize, records: u64, now: SimTime, key: (u64, u64)) {
+        self.depth[i] += records;
+        self.record(i, GaugeOpKind::Add, records, now, key);
+    }
+
+    /// Instance `i` started (or lost) records at `now`.
     pub fn sub(&mut self, i: usize, records: u64, now: SimTime, key: (u64, u64)) {
-        self.ops.push(GaugeOp {
-            at: now,
-            key,
-            inst: i,
-            kind: GaugeOpKind::Sub,
-            records,
-        });
+        self.depth[i] = self.depth[i].saturating_sub(records);
+        self.record(i, GaugeOpKind::Sub, records, now, key);
     }
 
     /// Instance `i`'s queue vanished at `now` (node crash).
     pub fn clear(&mut self, i: usize, now: SimTime, key: (u64, u64)) {
-        self.ops.push(GaugeOp {
-            at: now,
-            key,
-            inst: i,
-            kind: GaugeOpKind::Clear,
-            records: 0,
-        });
+        self.depth[i] = 0;
+        self.record(i, GaugeOpKind::Clear, 0, now, key);
     }
 
-    /// Placeholder depths (all zero; see the type docs).
+    /// Instantaneous per-instance depths as this partition saw them
+    /// (what the routers consult).
     pub fn depths(&self) -> &[u64] {
-        &self.zeros
+        &self.depth
     }
 
-    /// Merge per-partition journals into the [`StageGauge`] an equivalent
-    /// sequential run would have produced: all mutations are replayed in
-    /// `(time, dispatch key)` order — the partitioned engine's total
-    /// dispatch order — with a stable sort, so mutations within one
-    /// dispatch keep their program order and the time-weighted integral,
-    /// peak, and final depths come out bit-identical.
-    pub fn replay(parts: Vec<GaugeJournal>) -> StageGauge {
-        let n = parts.first().map_or(0, |j| j.zeros.len());
-        debug_assert!(parts.iter().all(|j| j.zeros.len() == n));
-        let mut ops: Vec<GaugeOp> = parts.into_iter().flat_map(|j| j.ops).collect();
+    /// Per-instance statistics over the horizon `[0, end]` from every
+    /// partition's gauge of one stage. The ops are replayed in
+    /// `(time, dispatch key)` order with a stable sort, so mutations
+    /// within one dispatch keep their program order.
+    pub fn stats(parts: Vec<StageGauge>, end: SimTime) -> Vec<QueueStat> {
+        let n = parts.first().map_or(0, |g| g.depth.len());
+        debug_assert!(parts.iter().all(|g| g.depth.len() == n));
+        // Extend the first part's log in place: at P = 1 it is the only
+        // one, and copying it would double the gauge's peak memory.
+        let mut parts = parts.into_iter();
+        let mut ops = parts.next().map(|g| g.ops).unwrap_or_default();
+        for g in parts {
+            ops.extend(g.ops);
+        }
         ops.sort_by_key(|o| (o.at, o.key));
-        let mut g = StageGauge::new(n);
+        let mut depth = vec![0u64; n];
+        let mut last = vec![SimTime::ZERO; n];
+        let mut integral = vec![0u128; n];
+        let mut peak = vec![0u64; n];
         for o in ops {
+            let i = o.inst as usize;
+            let dt = o.at.saturating_since(last[i]).as_nanos();
+            integral[i] += depth[i] as u128 * dt as u128;
+            last[i] = last[i].max(o.at);
             match o.kind {
-                GaugeOpKind::Add => g.add(o.inst, o.records, o.at),
-                GaugeOpKind::Sub => g.sub(o.inst, o.records, o.at),
-                GaugeOpKind::Clear => g.clear(o.inst, o.at),
+                GaugeOpKind::Add => {
+                    depth[i] += o.records;
+                    peak[i] = peak[i].max(depth[i]);
+                }
+                GaugeOpKind::Sub => depth[i] = depth[i].saturating_sub(o.records),
+                GaugeOpKind::Clear => depth[i] = 0,
             }
         }
-        g
+        let horizon = end.as_nanos();
+        (0..n)
+            .map(|i| {
+                let tail = end.saturating_since(last[i]).as_nanos();
+                let area = integral[i] + depth[i] as u128 * tail as u128;
+                QueueStat {
+                    mean_depth: if horizon > 0 {
+                        area as f64 / horizon as f64
+                    } else {
+                        0.0
+                    },
+                    peak_depth: peak[i],
+                    final_depth: depth[i],
+                }
+            })
+            .collect()
     }
 }
 
@@ -514,13 +476,16 @@ mod tests {
         assert_eq!(m.violations_total(), 100);
     }
 
+    /// The dispatch key of the sequential calendar.
+    const SEQ: (u64, u64) = (0, 0);
+
     #[test]
     fn gauge_integrates_depth_over_time() {
         let mut g = StageGauge::new(2);
         // Instance 0: 10 records queued over [100, 300) of a 400ns run.
-        g.add(0, 10, SimTime(100));
-        g.sub(0, 10, SimTime(300));
-        let s = g.stats(SimTime(400));
+        g.add(0, 10, SimTime(100), SEQ);
+        g.sub(0, 10, SimTime(300), SEQ);
+        let s = StageGauge::stats(vec![g], SimTime(400));
         assert!((s[0].mean_depth - 10.0 * 200.0 / 400.0).abs() < 1e-9);
         assert_eq!(s[0].peak_depth, 10);
         assert_eq!(s[0].final_depth, 0);
@@ -532,27 +497,69 @@ mod tests {
     #[test]
     fn gauge_counts_unconsumed_tail_and_peak() {
         let mut g = StageGauge::new(1);
-        g.add(0, 4, SimTime(0));
-        g.add(0, 4, SimTime(50));
-        g.sub(0, 6, SimTime(100));
-        let s = g.stats(SimTime(200));
+        g.add(0, 4, SimTime(0), SEQ);
+        g.add(0, 4, SimTime(50), SEQ);
+        g.sub(0, 6, SimTime(100), SEQ);
+        assert_eq!(g.depths(), &[2]);
+        let s = StageGauge::stats(vec![g], SimTime(200));
         // 4 over [0,50), 8 over [50,100), 2 over [100,200].
         let area = 4.0 * 50.0 + 8.0 * 50.0 + 2.0 * 100.0;
         assert!((s[0].mean_depth - area / 200.0).abs() < 1e-9);
         assert_eq!(s[0].peak_depth, 8);
         assert_eq!(s[0].final_depth, 2);
-        assert_eq!(g.depths(), &[2]);
     }
 
     #[test]
     fn gauge_clear_drops_depth_but_keeps_history() {
         let mut g = StageGauge::new(1);
-        g.add(0, 100, SimTime(0));
-        g.clear(0, SimTime(10));
-        let s = g.stats(SimTime(100));
+        g.add(0, 100, SimTime(0), SEQ);
+        g.clear(0, SimTime(10), SEQ);
+        assert_eq!(g.depths(), &[0]);
+        let s = StageGauge::stats(vec![g], SimTime(100));
         assert_eq!(s[0].final_depth, 0);
         assert_eq!(s[0].peak_depth, 100);
         assert!((s[0].mean_depth - 100.0 * 10.0 / 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn gauge_split_across_parts_replays_like_one() {
+        // One op stream in dispatch order: same-instant ops on one
+        // instance whose order matters (an add before a sub peaks
+        // higher than the reverse) and a crash clear mid-stream.
+        type Op = (usize, u8, u64, u64, (u64, u64));
+        let stream: [Op; 10] = [
+            (0, b'+', 8, 0, (0, 1)),
+            (1, b'+', 5, 0, (0, 2)),
+            (0, b'+', 3, 40, (1, 0)),
+            (0, b'-', 6, 40, (1, 1)),
+            (1, b'+', 7, 40, (2, 0)),
+            (1, b'-', 5, 90, (0, 3)),
+            (0, b'c', 0, 120, (0, 4)),
+            (1, b'+', 2, 120, (0, 5)),
+            (0, b'+', 9, 150, (1, 2)),
+            (1, b'-', 4, 180, (0, 6)),
+        ];
+        let apply = |g: &mut StageGauge, &(i, kind, records, at, key): &Op| match kind {
+            b'+' => g.add(i, records, SimTime(at), key),
+            b'-' => g.sub(i, records, SimTime(at), key),
+            _ => g.clear(i, SimTime(at), key),
+        };
+        let mut one = StageGauge::new(2);
+        stream.iter().for_each(|op| apply(&mut one, op));
+        // Deal the ops to two parts with interleaved keys, each part
+        // seeing its ops in its own dispatch order.
+        let mut a = StageGauge::new(2);
+        let mut b = StageGauge::new(2);
+        for (n, op) in stream.iter().enumerate() {
+            apply(if n % 2 == 0 { &mut a } else { &mut b }, op);
+        }
+        let end = SimTime(200);
+        let whole = StageGauge::stats(vec![one], end);
+        assert_eq!(StageGauge::stats(vec![a.clone(), b.clone()], end), whole);
+        assert_eq!(StageGauge::stats(vec![b, a], end), whole);
+        assert_eq!(whole[0].peak_depth, 11);
+        assert_eq!(whole[0].final_depth, 9);
+        assert_eq!(whole[1].final_depth, 5);
     }
 
     #[test]

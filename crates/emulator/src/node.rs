@@ -148,17 +148,13 @@ impl NodeRes {
         // Multi-disk striping is an ASU property (the brick aggregates
         // spindles); hosts keep one disk.
         let spec = cfg.storage;
-        let (speed, mem, disk, disks) = match id {
-            NodeId::Host(_) => (cfg.host_speed(), cfg.host_mem_bytes, cfg.disk, 1),
+        let speed = cfg.node_speed(id);
+        let (mem, disk, disks) = match id {
+            NodeId::Host(_) => (cfg.host_mem_bytes, cfg.disk, 1),
             NodeId::Asu(_) => {
                 let mut disk = cfg.disk;
                 disk.rate_bytes_per_sec *= 1.0 - cfg.background_asu_disk;
-                (
-                    cfg.asu_speed() * (1.0 - cfg.background_asu_cpu),
-                    cfg.asu_mem_bytes,
-                    disk,
-                    spec.disks,
-                )
+                (cfg.asu_mem_bytes, disk, spec.disks)
             }
         };
         let store = NodeStore {

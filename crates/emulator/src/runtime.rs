@@ -48,7 +48,7 @@ use crate::config::ClusterConfig;
 use crate::fault::{
     node_index, DetectedTimeline, FatalFault, FaultSpec, FaultStats, LossTimeline, NodeHealth,
 };
-use crate::metrics::{GaugeJournal, Metrics, SinkOutputs, StageGauge, StageQueueStats, StageUsage};
+use crate::metrics::{Metrics, SinkOutputs, StageGauge, StageQueueStats, StageUsage};
 use crate::multi::{GateDecision, SchedEvent, SchedEventKind, SchedGate};
 use crate::node::{nic_service, NodeRes};
 use crate::repair::{
@@ -62,7 +62,7 @@ use lmas_sim::{
     run_partitioned, ActorId, BackoffPolicy, Ctx, DetRng, FaultEvent, LogHist, ParOps,
     PartitionWorker, SimDuration, SimTime, Simulation, Trace,
 };
-use std::cell::{Ref, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
@@ -533,82 +533,6 @@ struct InstFlags {
     fenced: bool,
 }
 
-/// The backlog gauge a sender/receiver mutates: the shared live gauge
-/// of a one-partition run, or this partition's deferred journal when
-/// there are several (merged into the exact live gauge after the run —
-/// see [`GaugeJournal::replay`]).
-#[derive(Clone)]
-enum GaugeHandle {
-    Live(Rc<RefCell<StageGauge>>),
-    Journal(Rc<RefCell<GaugeJournal>>),
-}
-
-impl GaugeHandle {
-    fn add(&self, i: usize, records: u64, now: SimTime, key: (u64, u64)) {
-        match self {
-            GaugeHandle::Live(g) => g.borrow_mut().add(i, records, now),
-            GaugeHandle::Journal(j) => j.borrow_mut().add(i, records, now, key),
-        }
-    }
-
-    fn sub(&self, i: usize, records: u64, now: SimTime, key: (u64, u64)) {
-        match self {
-            GaugeHandle::Live(g) => g.borrow_mut().sub(i, records, now),
-            GaugeHandle::Journal(j) => j.borrow_mut().sub(i, records, now, key),
-        }
-    }
-
-    fn clear(&self, i: usize, now: SimTime, key: (u64, u64)) {
-        match self {
-            GaugeHandle::Live(g) => g.borrow_mut().clear(i, now),
-            GaugeHandle::Journal(j) => j.borrow_mut().clear(i, now, key),
-        }
-    }
-
-    /// Instantaneous per-instance depths. Journals return zeros: only
-    /// backlog-insensitive routing runs on more than one partition, so
-    /// the values feed slice arithmetic, never a pick.
-    fn depths(&self) -> Ref<'_, [u64]> {
-        match self {
-            GaugeHandle::Live(g) => Ref::map(g.borrow(), |g| g.depths()),
-            GaugeHandle::Journal(j) => Ref::map(j.borrow(), |j| j.depths()),
-        }
-    }
-
-    /// Unwrap the handle once the actors holding clones are gone.
-    fn into_share(self) -> GaugeShare {
-        match self {
-            GaugeHandle::Live(g) => GaugeShare::Live(
-                Rc::try_unwrap(g).map_or_else(|rc| rc.borrow().clone(), RefCell::into_inner),
-            ),
-            GaugeHandle::Journal(j) => GaugeShare::Journal(
-                Rc::try_unwrap(j).map_or_else(|rc| rc.borrow().clone(), RefCell::into_inner),
-            ),
-        }
-    }
-}
-
-/// One partition's record of a stage's backlog after the run.
-enum GaugeShare {
-    Live(StageGauge),
-    Journal(GaugeJournal),
-}
-
-impl GaugeShare {
-    /// The stage's exact gauge from every partition's share: the live
-    /// gauge as is at `P = 1`, the journals' replay at `P > 1`.
-    fn merge(shares: Vec<GaugeShare>) -> StageGauge {
-        let mut journals = Vec::with_capacity(shares.len());
-        for share in shares {
-            match share {
-                GaugeShare::Live(g) => return g,
-                GaugeShare::Journal(j) => journals.push(j),
-            }
-        }
-        GaugeJournal::replay(journals)
-    }
-}
-
 struct Downstream<R: Record> {
     actors: Vec<ActorId>,
     /// Node of each destination instance. Identity only — the remote
@@ -619,7 +543,7 @@ struct Downstream<R: Record> {
     node_idx: Vec<usize>,
     capacities: Vec<f64>,
     router: Router,
-    gauge: GaugeHandle,
+    gauge: Rc<RefCell<StageGauge>>,
     /// This sender's routing weights for the destination stage, set by
     /// the balancer's `WeightUpdate`s; empty until (unless) the first
     /// reweight, so an untouched run draws identically to the weightless
@@ -703,7 +627,7 @@ struct InstanceActor<R: Record> {
     /// Incremented on crash; stale `Work` from a previous life is
     /// discarded by the stamp.
     epoch: u64,
-    my_gauge: Option<(GaugeHandle, usize)>,
+    my_gauge: Option<(Rc<RefCell<StageGauge>>, usize)>,
     metrics: Rc<RefCell<Metrics<R>>>,
     link_rate: f64,
     latency: SimDuration,
@@ -738,7 +662,9 @@ impl<R: Record> InstanceActor<R> {
         }
         if let Some(p) = self.queue.pop_front() {
             if let Some((gauge, idx)) = &self.my_gauge {
-                gauge.sub(*idx, p.len() as u64, ctx.now(), par_key(ctx));
+                gauge
+                    .borrow_mut()
+                    .sub(*idx, p.len() as u64, ctx.now(), par_key(ctx));
             }
             let cost = self.functor.cost(&p);
             {
@@ -899,7 +825,8 @@ impl<R: Record> InstanceActor<R> {
                 }),
                 None => UpMask::All,
             };
-            let backlog = d.gauge.depths();
+            let gauge = d.gauge.borrow();
+            let backlog = gauge.depths();
             // Empty until the balancer's first reweight: `pick_routed`
             // then takes the exact `pick_available` path (same draws).
             let wslice: &[f64] = if d.weights.is_empty() {
@@ -930,7 +857,9 @@ impl<R: Record> InstanceActor<R> {
         };
         let dest = base + rel;
         // Optimistic backlog charge; a NACK rolls it back.
-        d.gauge.add(dest, p.len() as u64, ctx.now(), par_key(ctx));
+        d.gauge
+            .borrow_mut()
+            .add(dest, p.len() as u64, ctx.now(), par_key(ctx));
         // Coded delivery (fault-free runs only: coded frames have no
         // per-packet NACK identity). Same-node packets are free as in
         // the plain path; remote packets pay the (r-1)-way replicated
@@ -1209,7 +1138,7 @@ impl<R: Record> InstanceActor<R> {
             lost += p.len() as u64;
         }
         if let Some((gauge, idx)) = &self.my_gauge {
-            gauge.clear(*idx, ctx.now(), par_key(ctx));
+            gauge.borrow_mut().clear(*idx, ctx.now(), par_key(ctx));
         }
         self.source_live = false;
         if let Some(ra) = &mut self.ra {
@@ -1296,17 +1225,6 @@ fn par_key<M>(ctx: &Ctx<'_, M>) -> (u64, u64) {
     ctx.par_key().unwrap_or((0, 0))
 }
 
-/// Relative CPU speed of node `id` under `cfg` — bit-identical to the
-/// `speed` a fresh [`NodeRes::new`] would report, without needing the
-/// node object (partitions instantiate only the nodes they own, but
-/// routing capacities cover remote destinations too).
-fn node_speed(cfg: &ClusterConfig, id: NodeId) -> f64 {
-    match id {
-        NodeId::Host(_) => cfg.host_speed(),
-        NodeId::Asu(_) => cfg.asu_speed() * (1.0 - cfg.background_asu_cpu),
-    }
-}
-
 impl<R: Record> lmas_sim::Actor<Msg<R>> for InstanceActor<R> {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg<R>>, msg: Msg<R>) {
         match msg {
@@ -1346,8 +1264,12 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for InstanceActor<R> {
                 // Roll back the optimistic backlog charge, then retry.
                 if meta.dest != usize::MAX {
                     if let Some(d) = &self.down {
-                        d.gauge
-                            .sub(meta.dest, p.len() as u64, ctx.now(), par_key(ctx));
+                        d.gauge.borrow_mut().sub(
+                            meta.dest,
+                            p.len() as u64,
+                            ctx.now(),
+                            par_key(ctx),
+                        );
                     }
                 }
                 self.redeliver(ctx, p, meta);
@@ -2131,9 +2053,9 @@ fn watched_stages<R: Record>(graph: &FlowGraph<R>) -> Vec<usize> {
 
 /// Whether the partitioned engine can reproduce this graph's routing
 /// draws bit-for-bit. Backlog-sensitive policies (LoadAware, power of
-/// two choices) read the live cross-partition queue depths at pick time,
-/// which a deferred gauge journal cannot provide; they run on one
-/// partition.
+/// two choices) read the stage's whole backlog at pick time, which a
+/// partition's gauge (it sees only its own mutations) cannot provide;
+/// they run on one partition.
 /// Single-instance groups never exercise a choice, so any policy is fine
 /// there.
 fn parallel_eligible<R: Record>(graph: &FlowGraph<R>) -> bool {
@@ -2189,8 +2111,8 @@ struct EmPartOut<R: Record> {
     /// index for the final hosts-then-ASUs ordering.
     nodes: Vec<(usize, NodeReport)>,
     metrics: Metrics<R>,
-    /// This partition's share of each stage's backlog gauge.
-    gauges: Vec<GaugeShare>,
+    /// This partition's gauge of each stage (its share of the ops).
+    gauges: Vec<StageGauge>,
 }
 
 /// Thread-local state carried from build to finish (`Rc` handles shared
@@ -2199,7 +2121,7 @@ struct EmBuilt<R: Record> {
     /// Owned nodes, indexed by dense node index (`None` = another
     /// partition's node).
     nodes: Vec<Option<Rc<RefCell<NodeRes>>>>,
-    gauges: Vec<GaugeHandle>,
+    gauges: Vec<Rc<RefCell<StageGauge>>>,
     metrics: Rc<RefCell<Metrics<R>>>,
     /// A scheduler gates the sources (the makespan then starts from the
     /// last application activity, not a trailing rejected arrival).
@@ -2284,19 +2206,10 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
                     .then(|| Rc::new(RefCell::new(NodeRes::new(id, cfg)))),
             );
         }
-        // One partition mutates the live gauges (backlog-sensitive
-        // routers read them at pick time); several each journal their
-        // share for an exact replay after the run.
-        let gauges: Vec<GaugeHandle> = graph
+        let gauges: Vec<Rc<RefCell<StageGauge>>> = graph
             .stages()
             .iter()
-            .map(|s| {
-                if self.nparts == 1 {
-                    GaugeHandle::Live(Rc::new(RefCell::new(StageGauge::new(s.replication))))
-                } else {
-                    GaugeHandle::Journal(Rc::new(RefCell::new(GaugeJournal::new(s.replication))))
-                }
-            })
+            .map(|s| Rc::new(RefCell::new(StageGauge::new(s.replication))))
             .collect();
         let metrics = Rc::new(RefCell::new(Metrics::<R>::new(graph.stages().len())));
         if cfg.trace_capacity > 0 {
@@ -2324,7 +2237,7 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
                     .map(|j| self.specs[base + j].node)
                     .collect();
                 let node_idx = node_ids.iter().map(|&id| node_index(cfg, id)).collect();
-                let capacities = node_ids.iter().map(|&id| node_speed(cfg, id)).collect();
+                let capacities = node_ids.iter().map(|&id| cfg.node_speed(id)).collect();
                 let group_size = match e.scope {
                     lmas_core::RouteScope::Global => to_stage.replication,
                     lmas_core::RouteScope::PortGroups { group_size } => group_size,
@@ -2711,7 +2624,9 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
             gauges: built
                 .gauges
                 .into_iter()
-                .map(GaugeHandle::into_share)
+                .map(|g| {
+                    Rc::try_unwrap(g).map_or_else(|rc| rc.borrow().clone(), RefCell::into_inner)
+                })
                 .collect(),
         }
     }
@@ -2723,9 +2638,9 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
 ///
 /// `P = min(threads, hosts)` when the run is eligible; otherwise `P = 1`
 /// and [`EmulationReport::par_fallback`] records why. A one-partition run
-/// executes inline on the sequential calendar (live gauges, `request_stop`
-/// for `fail_fast`) and its partition's metrics and gauges are the
-/// report's, with no merge or replay. At `P > 1` the partition shares
+/// executes inline on the sequential calendar (`request_stop` for
+/// `fail_fast`) and its partition's metrics are the report's, with no
+/// merge. At `P > 1` the partition shares
 /// merge back into exactly that report — same virtual times, dispatch
 /// counts, merged trace and gauge history — and [`EmulationReport::par`]
 /// records how the run was parallelized.
@@ -2936,7 +2851,7 @@ fn run_partitioned_job<R: Record>(
     debug_assert!(outcome.results.iter().all(|r| r.end == end));
     let mut node_reports: Vec<(usize, NodeReport)> = Vec::with_capacity(total_nodes);
     let mut metrics_parts: Vec<Metrics<R>> = Vec::with_capacity(nparts);
-    let mut gauge_parts: Vec<Vec<GaugeShare>> = (0..nstages).map(|_| Vec::new()).collect();
+    let mut gauge_parts: Vec<Vec<StageGauge>> = (0..nstages).map(|_| Vec::new()).collect();
     for part in outcome.results {
         node_reports.extend(part.nodes);
         metrics_parts.push(part.metrics);
@@ -2974,7 +2889,7 @@ fn run_partitioned_job<R: Record>(
         .zip(gauge_parts)
         .map(|(st, shares)| StageQueueStats {
             stage: st.name.clone(),
-            instances: GaugeShare::merge(shares).stats(end),
+            instances: StageGauge::stats(shares, end),
         })
         .collect();
 

@@ -11,7 +11,7 @@
 
 use crate::model::{PlanEdge, PlanError, PlanSpec, StageSpec};
 use crate::search::{plan, PlanOutcome};
-use crate::ClusterShape;
+use lmas_core::ClusterShape;
 use lmas_core::cost::Work;
 use lmas_core::graph::FlowGraph;
 use lmas_core::placement::{NodeId, Placement};

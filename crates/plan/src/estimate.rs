@@ -21,7 +21,8 @@
 //! estimate is a pure deterministic function of (spec, shape,
 //! assignment).
 
-use crate::model::{ClusterShape, PlanSpec};
+use crate::model::PlanSpec;
+use lmas_core::ClusterShape;
 use crate::residual::ResidualCapacity;
 use lmas_core::placement::NodeId;
 use std::fmt;

@@ -36,7 +36,8 @@ pub mod search;
 
 pub use auto::{spec_from_graph, AutoPlace, GraphHints, StageHint};
 pub use estimate::{estimate, estimate_residual, Bottleneck, Estimate, StageResource};
-pub use model::{ClusterShape, PlanEdge, PlanError, PlanSpec, StageSpec};
+pub use lmas_core::ClusterShape;
+pub use model::{PlanEdge, PlanError, PlanSpec, StageSpec};
 pub use report::{CodedPoint, PlanReport, StageBinding, StageRate};
 pub use residual::ResidualCapacity;
 pub use search::{plan, plan_best, plan_best_residual, plan_residual, PlanOutcome};

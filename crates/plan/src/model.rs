@@ -1,111 +1,19 @@
-//! Planner inputs: the cluster shape and the per-stage work declaration.
+//! Planner inputs: the per-stage work declaration.
 //!
 //! The paper's premise (Section 3.3) is that functors declare *bounded
 //! cost per unit of I/O* so the system — not the application — can
 //! decide placement and replication. [`PlanSpec`] is that declaration in
 //! planner form: a stage list mirroring a `FlowGraph`, annotated with
 //! per-record [`Work`], record volumes, packetization, and flush
-//! behavior; [`ClusterShape`] is the machine model (H hosts, D ASUs,
-//! CPU ratio c, disk/link rates) the estimator prices it against.
+//! behavior. The estimator prices it against the machine model
+//! [`ClusterShape`](lmas_core::ClusterShape) (H hosts, D ASUs, CPU
+//! ratio c, disk/link rates), which lives in `lmas-core` beside the
+//! adaptive configurator.
 
-use lmas_core::adapt::PipelineModel;
-use lmas_core::cost::{CostModel, Work};
+use lmas_core::cost::Work;
 use lmas_core::functor::FunctorKind;
 use lmas_core::placement::{NodeId, PlacementError, StageId};
 use std::fmt;
-
-/// The cluster model the planner optimizes against. Mirrors the
-/// emulator's `ClusterConfig` (era-2002 defaults) without depending on
-/// the emulator crate.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterShape {
-    /// Number of dedicated hosts, H.
-    pub hosts: usize,
-    /// Number of active storage units, D.
-    pub asus: usize,
-    /// Host-to-ASU CPU speed ratio c (an ASU runs at 1/c).
-    pub cpu_ratio_c: f64,
-    /// Work → time conversion.
-    pub cost: CostModel,
-    /// Aggregate disk bandwidth per ASU brick, bytes/sec.
-    pub asu_disk_rate: f64,
-    /// Disk bandwidth of a host's private disk, bytes/sec.
-    pub host_disk_rate: f64,
-    /// Host↔ASU link bandwidth, bytes/sec.
-    pub link_rate: f64,
-    /// One-way link latency in nanoseconds.
-    pub link_latency_ns: f64,
-    /// Memory available for functor state on an ASU, bytes.
-    pub asu_mem: usize,
-}
-
-impl ClusterShape {
-    /// The paper-era cluster: gigabit links at 50 µs, 100 MB/s disk
-    /// bricks, 32 MiB of ASU functor memory — matching the emulator's
-    /// `ClusterConfig::era_2002(hosts, asus, c)`.
-    pub fn era_2002(hosts: usize, asus: usize, cpu_ratio_c: f64) -> ClusterShape {
-        ClusterShape {
-            hosts,
-            asus,
-            cpu_ratio_c,
-            cost: CostModel::p3_750mhz(),
-            asu_disk_rate: 100.0e6,
-            host_disk_rate: 100.0e6,
-            link_rate: 1.0e9,
-            link_latency_ns: 50_000.0,
-            asu_mem: 32 << 20,
-        }
-    }
-
-    /// Override the per-ASU aggregate disk rate (e.g. multi-disk bricks).
-    pub fn with_asu_disk_rate(mut self, rate: f64) -> ClusterShape {
-        self.asu_disk_rate = rate;
-        self
-    }
-
-    /// All nodes in planner order: hosts first, then ASUs.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        (0..self.hosts)
-            .map(NodeId::Host)
-            .chain((0..self.asus).map(NodeId::Asu))
-            .collect()
-    }
-
-    /// Total node count.
-    pub fn total_nodes(&self) -> usize {
-        self.hosts + self.asus
-    }
-
-    /// Relative CPU speed of `node` (host = 1.0).
-    pub fn node_speed(&self, node: NodeId) -> f64 {
-        match node {
-            NodeId::Host(_) => 1.0,
-            NodeId::Asu(_) => 1.0 / self.cpu_ratio_c,
-        }
-    }
-
-    /// Disk bandwidth local to `node`, bytes/sec.
-    pub fn disk_rate(&self, node: NodeId) -> f64 {
-        match node {
-            NodeId::Host(_) => self.host_disk_rate,
-            NodeId::Asu(_) => self.asu_disk_rate,
-        }
-    }
-
-    /// Bridge to the phase-rate model of `lmas-core::adapt` for knob
-    /// picking (α, γ-split) at a given record size.
-    pub fn pipeline_model(&self, record_size: usize) -> PipelineModel {
-        PipelineModel {
-            cost: self.cost,
-            hosts: self.hosts,
-            asus: self.asus,
-            cpu_ratio_c: self.cpu_ratio_c,
-            disk_rate: self.asu_disk_rate,
-            link_rate: self.link_rate,
-            record_size,
-        }
-    }
-}
 
 /// One stage of the dataflow, annotated with the declared work the
 /// planner prices.
@@ -444,18 +352,5 @@ mod tests {
         let mut p = spec(1, &[]);
         p.stages[0].pinned = vec![None, None];
         assert_eq!(p.topo_order(), Err(PlanError::BadPin { stage: 0 }));
-    }
-
-    #[test]
-    fn shape_rates_and_speeds() {
-        let shape = ClusterShape::era_2002(2, 4, 8.0);
-        assert_eq!(shape.total_nodes(), 6);
-        assert_eq!(shape.node_speed(NodeId::Host(0)), 1.0);
-        assert_eq!(shape.node_speed(NodeId::Asu(1)), 0.125);
-        assert_eq!(shape.nodes()[0], NodeId::Host(0));
-        assert_eq!(shape.nodes()[2], NodeId::Asu(0));
-        let m = shape.pipeline_model(128);
-        assert_eq!(m.hosts, 2);
-        assert_eq!(m.asus, 4);
     }
 }

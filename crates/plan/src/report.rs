@@ -7,7 +7,8 @@
 //! number formatting — byte-identical across same-input runs.
 
 use crate::estimate::Estimate;
-use crate::model::{ClusterShape, PlanSpec};
+use crate::model::PlanSpec;
+use lmas_core::ClusterShape;
 use lmas_core::placement::NodeId;
 use std::fmt::Write as _;
 

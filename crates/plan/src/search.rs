@@ -11,7 +11,8 @@
 //! same spec + shape → byte-identical placement and report.
 
 use crate::estimate::{estimate_residual, Estimate};
-use crate::model::{ClusterShape, PlanError, PlanSpec};
+use crate::model::{PlanError, PlanSpec};
+use lmas_core::ClusterShape;
 use crate::report::PlanReport;
 use crate::residual::ResidualCapacity;
 use lmas_core::placement::{NodeId, Placement, StageId};

@@ -23,7 +23,7 @@ use crate::error::SchedError;
 use crate::policy::{GateConfig, JobShape, Policy, PolicyGate};
 use lmas_core::{generate_rec8, KeyDist, Rec8};
 use lmas_emulator::{
-    run_jobs, ClusterConfig, JobError, JobStats, SchedEvent, TenantJob,
+    run_jobs, ClusterConfig, JobError, JobStats, SchedEvent, StageQueueStats, TenantJob,
 };
 use lmas_plan::{Estimate, ResidualCapacity};
 use lmas_sim::{ArrivalSpec, SimDuration, SimTime};
@@ -193,6 +193,9 @@ pub struct SchedOutcome {
     pub makespan: SimDuration,
     /// Records processed across all dispatched jobs.
     pub records_processed: u64,
+    /// Per-stage queue statistics of the merged run (every dispatched
+    /// job's stages, in merged-graph order).
+    pub queue_stats: Vec<StageQueueStats>,
 }
 
 impl SchedOutcome {
@@ -478,5 +481,6 @@ pub fn run_scheduled(
         rejections,
         makespan: rep.report.makespan,
         records_processed: rep.report.records_processed,
+        queue_stats: rep.report.queue_stats,
     })
 }

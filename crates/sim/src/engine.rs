@@ -199,7 +199,7 @@ impl<'a, M> Ctx<'a, M> {
 
     /// In partitioned mode, the composite ordering key `(sched, packed)` of
     /// the event being dispatched; `None` sequentially. Higher layers tag
-    /// order-sensitive side effects (trace lines, gauge journal entries)
+    /// order-sensitive side effects (trace lines, backlog-gauge ops)
     /// with it so per-partition logs merge back into the exact sequential
     /// order.
     pub fn par_key(&self) -> Option<(u64, u64)> {

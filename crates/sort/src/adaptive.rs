@@ -21,10 +21,10 @@ pub fn adaptive_config<R: Record>(
     beta: usize,
     max_gamma1: u64,
 ) -> DsmConfig {
-    let model = cluster.pipeline_model(R::SIZE);
-    let alpha = model.pick_alpha(&ALPHA_CANDIDATES, beta as u64) as usize;
+    let shape = cluster.shape();
+    let alpha = shape.pick_alpha(&ALPHA_CANDIDATES, beta as u64, R::SIZE) as usize;
     let gamma = n.div_ceil(alpha as u64 * beta as u64).max(1);
-    let (g1, g2) = model.pick_gamma_split_bounded(gamma, max_gamma1);
+    let (g1, g2) = shape.pick_gamma_split_bounded(gamma, max_gamma1, R::SIZE);
     // The host merge sees at most ceil(runs_b / γ₁) runs per subset, but
     // striping across D ASUs adds per-ASU ceiling slack; pad γ₂ by D.
     let g2 = g2 + cluster.asus as u64;
@@ -35,8 +35,8 @@ pub fn adaptive_config<R: Record>(
 /// "adaptive" line).
 pub fn adaptive_alpha<R: Record>(cluster: &ClusterConfig, beta: usize) -> u64 {
     cluster
-        .pipeline_model(R::SIZE)
-        .pick_alpha(&ALPHA_CANDIDATES, beta as u64)
+        .shape()
+        .pick_alpha(&ALPHA_CANDIDATES, beta as u64, R::SIZE)
 }
 
 #[cfg(test)]
@@ -51,6 +51,45 @@ mod tests {
         let large = adaptive_alpha::<Rec128>(&ClusterConfig::era_2002(1, 64, 8.0), beta);
         assert!(large >= small, "α should not shrink with more ASUs");
         assert_eq!(large, 256, "plentiful ASUs absorb the biggest α");
+    }
+
+    #[test]
+    fn adaptive_picks_pinned_on_fig9_and_c4_grids() {
+        // (c, D, α, (α, γ₁, γ₂) at n = 2^18, the same at n = 2^26) for
+        // H = 1, β = 4096 and an ASU buffer bound of 16 runs — the
+        // Figure 9 grid at c = 8 and the c-sensitivity grid at c = 4.
+        type Pick = (usize, usize, usize);
+        let pinned: [(f64, usize, u64, Pick, Pick); 12] = [
+            (8.0, 2, 1, (1, 1, 66), (1, 2, 8194)),
+            (8.0, 4, 16, (16, 1, 8), (16, 4, 260)),
+            (8.0, 8, 256, (256, 1, 9), (256, 8, 16)),
+            (8.0, 16, 256, (256, 1, 17), (256, 16, 20)),
+            (8.0, 32, 256, (256, 1, 33), (256, 16, 36)),
+            (8.0, 64, 256, (256, 1, 65), (256, 16, 68)),
+            (4.0, 2, 16, (16, 1, 6), (16, 4, 258)),
+            (4.0, 4, 256, (256, 1, 5), (256, 8, 12)),
+            (4.0, 8, 256, (256, 1, 9), (256, 16, 12)),
+            (4.0, 16, 256, (256, 1, 17), (256, 16, 20)),
+            (4.0, 32, 256, (256, 1, 33), (256, 16, 36)),
+            (4.0, 64, 256, (256, 1, 65), (256, 16, 68)),
+        ];
+        let beta = 4096;
+        for (c, d, alpha, small, large) in pinned {
+            let cluster = ClusterConfig::era_2002(1, d, c);
+            assert_eq!(
+                adaptive_alpha::<Rec128>(&cluster, beta),
+                alpha,
+                "c={c} D={d}"
+            );
+            for (n, want) in [(1u64 << 18, small), (1 << 26, large)] {
+                let cfg = adaptive_config::<Rec128>(&cluster, n, beta, 16);
+                assert_eq!(
+                    (cfg.alpha, cfg.gamma1, cfg.gamma2),
+                    want,
+                    "c={c} D={d} n={n}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use lmas_core::{
     RouteScope, RoutingPolicy, StageId, Work,
 };
 use lmas_plan::{
-    plan, plan_best_residual, CodedPoint, ClusterShape, Estimate, PlanEdge, PlanOutcome,
+    plan, plan_best_residual, CodedPoint, Estimate, PlanEdge, PlanOutcome,
     PlanSpec, ResidualCapacity, StageSpec,
 };
 use lmas_emulator::{
@@ -194,25 +194,6 @@ fn tuned_cluster(cluster: &ClusterConfig, hint: usize) -> ClusterConfig {
     c
 }
 
-/// The planner's cluster model for this emulated cluster: same H/D/c
-/// (with background CPU interference folded into the effective ratio),
-/// cost model, aggregate disk rates, and link parameters.
-pub fn planner_shape(cluster: &ClusterConfig) -> ClusterShape {
-    ClusterShape {
-        hosts: cluster.hosts,
-        asus: cluster.asus,
-        cpu_ratio_c: cluster.effective_cpu_ratio(),
-        cost: cluster.cost,
-        asu_disk_rate: cluster.disk.rate_bytes_per_sec
-            * (1.0 - cluster.background_asu_disk)
-            * cluster.storage.disks as f64,
-        host_disk_rate: cluster.disk.rate_bytes_per_sec,
-        link_rate: cluster.link_bytes_per_sec,
-        link_latency_ns: cluster.link_latency.as_nanos() as f64,
-        asu_mem: cluster.asu_mem_bytes,
-    }
-}
-
 /// Pass-1 planner spec with `k` block-sort replicas per subset and a
 /// coded broadcast-group size `r` on the distribute edge. The
 /// per-record work mirrors the functors' own `cost()` declarations
@@ -309,7 +290,7 @@ fn sweep_pass1<R: Record>(
     rcands: &[usize],
     pin_static: bool,
 ) -> Result<(usize, usize, PlanOutcome), DsmError> {
-    let shape = planner_shape(cluster);
+    let shape = cluster.shape();
     let mut winner: Option<(usize, usize, PlanOutcome)> = None;
     let mut considered = 0usize;
     let mut rejected = 0usize;
@@ -455,7 +436,7 @@ fn plan_pass2<R: Record>(
     dsm: &DsmConfig,
     n: u64,
 ) -> Result<PlanOutcome, DsmError> {
-    plan(&pass2_spec::<R>(dsm, cluster.asus, n), &planner_shape(cluster))
+    plan(&pass2_spec::<R>(dsm, cluster.asus, n), &cluster.shape())
         .map_err(DsmError::Plan)
 }
 
@@ -592,7 +573,7 @@ pub fn plan_pass1_residual<R: Record>(
     res: &ResidualCapacity,
 ) -> Result<PlanOutcome, DsmError> {
     let spec = pass1_spec::<R>(dsm, cluster.asus, n, 1, dsm.coded_r.max(1));
-    plan_best_residual(&[spec], &planner_shape(cluster), res)
+    plan_best_residual(&[spec], &cluster.shape(), res)
         .map(|(_, out)| out)
         .map_err(DsmError::Plan)
 }
@@ -610,7 +591,7 @@ pub fn estimate_pass1_solo<R: Record>(
     assignment: &[Vec<NodeId>],
 ) -> Estimate {
     let spec = pass1_spec::<R>(dsm, cluster.asus, n, 1, dsm.coded_r.max(1));
-    lmas_plan::estimate(&spec, &planner_shape(cluster), assignment, &[0, 1, 2])
+    lmas_plan::estimate(&spec, &cluster.shape(), assignment, &[0, 1, 2])
 }
 
 fn run_pass1_inner<R: Record>(

@@ -35,7 +35,7 @@ pub use baseline::{pass1_speedup, run_pass1_baseline};
 pub use config::{DsmConfig, DsmConfigError, LoadMode};
 pub use dsm::{
     build_pass1_job, build_pass1_job_placed, choose_splitters, estimate_pass1_solo,
-    plan_pass1_coded, plan_pass1_residual, planner_shape, run_dsm_sort,
+    plan_pass1_coded, plan_pass1_residual, run_dsm_sort,
     run_dsm_sort_multipass, run_intermediate_merge, run_pass1, run_pass1_placed, run_pass1_with,
     run_pass2, run_pass2_auto, run_pass2_with, split_across_asus, DsmError, DsmMultiOutcome,
     DsmOutcome, DsmPlanInfo, Pass1Job, Pass1Result, Pass2Result, PlanWireError,
